@@ -5,7 +5,7 @@ object (statistics always computed on the training set, §4.1 step 2):
 
 * a **Spark DataFrame transform** (Column expressions, window
   functions, aggregations) — the production dataflow path, and
-* a **pandas twin** used inside ``applyInPandas`` tasks by the grid
+* a **pandas twin** used inside ``mapInPandas`` tasks by the grid
   harness, where per-unit frames are a few hundred rows.
 
 Cross-form equivalence is covered by tests per error type.

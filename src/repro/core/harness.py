@@ -1,37 +1,21 @@
 """Spark harness: the experiment grid as a distributed dataflow.
 
-The grid DataFrame has one row per work unit (dataset, error_type,
-split_seed); ``groupBy(...).applyInPandas`` executes
-:func:`repro.core.runner.run_unit` for each unit in parallel across the
-cluster (datasets are regenerated inside the task from their seed, so
-no data is shipped). The output is the long results DataFrame the
-relation builders consume.
+The grid has one row per work unit (dataset, error_type, split_seed).
+Spark gets one partition per unit, holding the unit's row index, and
+``mapInPandas`` executes :func:`repro.core.runner.run_unit` for each
+unit in its own task (datasets are regenerated inside the task from
+their seed, so no data is shipped). The output is the long results
+DataFrame the relation builders consume.
 """
 from __future__ import annotations
 
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import types as T
 
 from repro.cleaning.registry import ERROR_TYPES
 from repro.core.protocol import Protocol
+from repro.core.schema import RESULT_SCHEMA
 from repro.datasets.registry import datasets_with_error
-
-RESULT_SCHEMA = T.StructType(
-    [
-        T.StructField("dataset", T.StringType()),
-        T.StructField("error_type", T.StringType()),
-        T.StructField("detect", T.StringType()),
-        T.StructField("repair", T.StringType()),
-        T.StructField("split_seed", T.IntegerType()),
-        T.StructField("train_version", T.StringType()),
-        T.StructField("model", T.StringType()),
-        T.StructField("search_seed", T.IntegerType()),
-        T.StructField("test_variant", T.StringType()),
-        T.StructField("val_metric", T.DoubleType()),
-        T.StructField("test_metric", T.DoubleType()),
-    ]
-)
 
 
 def build_grid(
@@ -60,33 +44,22 @@ def run_grid(
     error_types: tuple[str, ...] = ERROR_TYPES,
     datasets: tuple[str, ...] | None = None,
 ) -> DataFrame:
-    """Execute the whole grid on Spark; returns the results DataFrame."""
+    """Execute the whole grid on Spark; returns the results DataFrame,
+    cached and materialized."""
     from repro.core.runner import run_unit
 
-    grid = build_grid(protocol, error_types, datasets)
+    units = build_grid(protocol, error_types, datasets)
 
-    def _run(key, pdf):
-        dataset, error_type, split_seed = key
-        return run_unit(dataset, error_type, int(split_seed), protocol)
+    def _run(batches):
+        for pdf in batches:
+            for i in pdf["id"]:
+                u = units.iloc[i]
+                yield run_unit(u.dataset, u.error_type, int(u.split_seed), protocol)
 
-    n_units = len(grid)
-    # The groupBy shuffle decides execution parallelism: give it one
-    # partition per unit (capped) so no task serializes many expensive
-    # units, and keep AQE from coalescing the byte-sized partitions.
-    # The result is materialized (cache + count) while these confs are
-    # in effect, then the session confs are restored.
-    prev_parts = spark.conf.get("spark.sql.shuffle.partitions")
-    prev_aqe = spark.conf.get("spark.sql.adaptive.coalescePartitions.enabled", "true")
-    spark.conf.set("spark.sql.shuffle.partitions", str(min(n_units, 512)))
-    spark.conf.set("spark.sql.adaptive.coalescePartitions.enabled", "false")
-    try:
-        sdf = spark.createDataFrame(grid).repartition(n_units)
-        out = sdf.groupBy("dataset", "error_type", "split_seed").applyInPandas(
-            _run, schema=RESULT_SCHEMA
-        )
-        out = out.cache()
-        out.count()
-    finally:
-        spark.conf.set("spark.sql.shuffle.partitions", prev_parts)
-        spark.conf.set("spark.sql.adaptive.coalescePartitions.enabled", prev_aqe)
+    # One partition per unit, so no task runs two expensive units in a
+    # row while other slots idle. The ids come from the JVM: a Python
+    # source (parallelize) would hold a second Python worker per task.
+    ids = spark.range(len(units), numPartitions=len(units))
+    out = ids.mapInPandas(_run, RESULT_SCHEMA).cache()
+    out.count()
     return out

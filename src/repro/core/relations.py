@@ -2,174 +2,120 @@
 
 The pipeline is Spark-native end to end:
 
-1. **Metric pairs** per (spec, split) are assembled with joins between
-   the "before" and "after" slices of the results DataFrame (Table 4/5
-   semantics, per scenario).
+1. **Metric pairs** per (spec, split) are assembled by one builder that
+   joins the "before" and "after" slices of the results DataFrame
+   (Table 4/5 semantics, per scenario).
 2. **Seed aggregation** (§4.2.1): R1 averages both sides over the
    random-search seeds; R2/R3 select the best (model, seed) by
    validation metric via window functions.
 3. **Cleaning-method selection** for R3 (§4.1) picks the method whose
    selected clean-side model has the best validation metric.
-4. **t-tests** (§4.2.2) run per spec over its split pairs with
-   ``applyInPandas``; the **BY correction** (§4.3) runs per relation
-   and test type, and flags follow the paper's decision rule.
+4. **t-tests** (§4.2.2): one Spark aggregation per relation reduces each
+   spec's split pairs to the count, means and sample standard deviation
+   of the differences, from which
+   :func:`repro.stats.ttest_from_moments` computes the p-values. The
+   **BY correction** (§4.3) runs per relation and test type, and flags
+   follow the paper's decision rule.
 """
 from __future__ import annotations
 
+from collections.abc import Callable
+
 import pandas as pd
-from pyspark.sql import DataFrame, Window
+from pyspark.sql import Column, DataFrame, Window
 from pyspark.sql import functions as F
-from pyspark.sql import types as T
 
-from repro.core.schema import baseline_for, scenarios_for
-from repro.stats import by_adjust, decide_flag, paired_ttest
+from repro.core.schema import DELETE_BASELINE, DIRTY, R1_KEY, R2_KEY, R3_KEY
+from repro.stats import by_adjust, decide_flag, ttest_from_moments
 
-_PAIR_KEY = ["dataset", "error_type", "detect", "repair", "model", "scenario"]
-
-
-def _method_rows(results: DataFrame) -> DataFrame:
-    """Rows of models trained on a cleaned training version."""
-    baseline = F.when(
-        F.col("error_type") == "missing_values", F.lit("delete")
-    ).otherwise(F.lit("dirty"))
-    return results.where(F.col("train_version") != baseline)
+# Identifies a cleaning method's training version within a dataset.
+_METHOD = ["dataset", "error_type", "detect", "repair", "train_version"]
 
 
-def build_pairs_r1(results: DataFrame) -> DataFrame:
-    """R1 metric pairs: seed-averaged (before, after) per spec and split.
+def _baseline() -> Column:
+    """The 'before' training version of each row's error type."""
+    return F.when(
+        F.col("error_type") == "missing_values", F.lit(DELETE_BASELINE)
+    ).otherwise(F.lit(DIRTY))
+
+
+def _seed_average(rows: DataFrame, by: list[str]) -> DataFrame:
+    return rows.groupBy(*by).agg(
+        F.avg("test_metric").alias("test_metric"),
+        F.avg("val_metric").alias("val_metric"),
+    )
+
+
+def _best_by_validation(rows: DataFrame, by: list[str]) -> DataFrame:
+    w = Window.partitionBy(*by).orderBy(
+        F.desc("val_metric"), F.asc("model"), F.asc("search_seed")
+    )
+    return rows.withColumn("__rn", F.row_number().over(w)).where(F.col("__rn") == 1)
+
+
+def _pairs(
+    results: DataFrame,
+    reduce: Callable[[DataFrame, list[str]], DataFrame],
+    per_model: list[str],
+) -> DataFrame:
+    """BD and CD metric pairs per (spec, split).
 
     BD: before = baseline-trained model on the cleaned test variant,
         after = clean-trained model on the same variant.
     CD: before = clean-trained model on the dirty test set,
         after = the same model on its cleaned test variant.
+
+    ``reduce(rows, by)`` collapses the random-search fits of each ``by``
+    group to one row with its test_metric and val_metric. ``per_model``
+    is ``["model"]`` to pair each model with itself, or ``[]`` to let
+    ``reduce`` choose among the models on each side.
     """
-    method = _method_rows(results)
-    after = method.where(F.col("test_variant") == F.col("train_version"))
-    after_g = after.groupBy(
-        *_PAIR_KEY[:4], "train_version", "model", "split_seed"
-    ).agg(F.avg("test_metric").alias("after_metric"))
-
-    baseline = F.when(
-        F.col("error_type") == "missing_values", F.lit("delete")
-    ).otherwise(F.lit("dirty"))
-    before_bd = (
-        results.where(F.col("train_version") == baseline)
-        .where(F.col("test_variant") != "dirty")
-        .groupBy("dataset", "error_type", "model", "split_seed", "test_variant")
-        .agg(F.avg("test_metric").alias("before_metric"))
-    )
-    bd = (
-        after_g.alias("a")
-        .join(
-            before_bd.alias("b"),
-            on=[
-                F.col("a.dataset") == F.col("b.dataset"),
-                F.col("a.error_type") == F.col("b.error_type"),
-                F.col("a.model") == F.col("b.model"),
-                F.col("a.split_seed") == F.col("b.split_seed"),
-                F.col("b.test_variant") == F.col("a.train_version"),
-            ],
-        )
-        .select("a.*", "b.before_metric")
-        .withColumn("scenario", F.lit("BD"))
+    method = results.where(F.col("train_version") != _baseline())
+    by = [*_METHOD, *per_model, "split_seed"]
+    after = reduce(method.where(F.col("test_variant") == F.col("train_version")), by).select(
+        *by,
+        F.col("test_metric").alias("after_metric"),
+        F.col("val_metric").alias("after_val"),
     )
 
-    before_cd = (
-        method.where(F.col("test_variant") == "dirty")
-        .groupBy(*_PAIR_KEY[:4], "train_version", "model", "split_seed")
-        .agg(F.avg("test_metric").alias("before_metric"))
+    bd_by = ["dataset", "error_type", *per_model, "split_seed"]
+    before_bd = reduce(
+        results.where(F.col("train_version") == _baseline()).where(
+            F.col("test_variant") != DIRTY
+        ),
+        [*bd_by, "test_variant"],
+    ).select(
+        *bd_by,
+        F.col("test_variant").alias("train_version"),
+        F.col("test_metric").alias("before_metric"),
+    )
+    bd = after.join(before_bd, on=[*bd_by, "train_version"]).withColumn(
+        "scenario", F.lit("BD")
+    )
+
+    before_cd = reduce(method.where(F.col("test_variant") == DIRTY), by).select(
+        *by, F.col("test_metric").alias("before_metric")
     )
     cd = (
-        after_g.join(
-            before_cd,
-            on=[*_PAIR_KEY[:4], "model", "split_seed", "train_version"],
-        )
+        after.join(before_cd, on=by)
         .withColumn("scenario", F.lit("CD"))
         .where(F.col("error_type") != "missing_values")
     )
-    cols = [*_PAIR_KEY[:4], "train_version", "model", "scenario", "split_seed",
-            "before_metric", "after_metric"]
+    cols = [*_METHOD, *per_model, "scenario", "split_seed",
+            "before_metric", "after_metric", "after_val"]
     return bd.select(*cols).unionByName(cd.select(*cols))
+
+
+def build_pairs_r1(results: DataFrame) -> DataFrame:
+    """R1 metric pairs: seed-averaged (before, after) per spec, model and
+    split."""
+    return _pairs(results, _seed_average, ["model"]).drop("after_val")
 
 
 def build_pairs_r2(results: DataFrame) -> DataFrame:
     """R2 metric pairs: per split, pick the best (model, seed) on each
     side by validation metric (§4.2.1 / Table 8, 11)."""
-    method = _method_rows(results)
-    after = method.where(F.col("test_variant") == F.col("train_version"))
-    w_after = Window.partitionBy(
-        "dataset", "error_type", "detect", "repair", "train_version", "split_seed"
-    ).orderBy(F.desc("val_metric"), F.asc("model"), F.asc("search_seed"))
-    after_best = (
-        after.withColumn("__rn", F.row_number().over(w_after))
-        .where(F.col("__rn") == 1)
-        .select(
-            *_PAIR_KEY[:4],
-            "train_version",
-            "split_seed",
-            F.col("test_metric").alias("after_metric"),
-            F.col("val_metric").alias("after_val"),
-        )
-    )
-
-    baseline = F.when(
-        F.col("error_type") == "missing_values", F.lit("delete")
-    ).otherwise(F.lit("dirty"))
-    before_bd_rows = results.where(F.col("train_version") == baseline).where(
-        F.col("test_variant") != "dirty"
-    )
-    w_bd = Window.partitionBy(
-        "dataset", "error_type", "test_variant", "split_seed"
-    ).orderBy(F.desc("val_metric"), F.asc("model"), F.asc("search_seed"))
-    before_bd = (
-        before_bd_rows.withColumn("__rn", F.row_number().over(w_bd))
-        .where(F.col("__rn") == 1)
-        .select(
-            "dataset",
-            "error_type",
-            "split_seed",
-            "test_variant",
-            F.col("test_metric").alias("before_metric"),
-        )
-    )
-    bd = (
-        after_best.alias("a")
-        .join(
-            before_bd.alias("b"),
-            on=[
-                F.col("a.dataset") == F.col("b.dataset"),
-                F.col("a.error_type") == F.col("b.error_type"),
-                F.col("a.split_seed") == F.col("b.split_seed"),
-                F.col("b.test_variant") == F.col("a.train_version"),
-            ],
-        )
-        .select("a.*", "b.before_metric")
-        .withColumn("scenario", F.lit("BD"))
-    )
-
-    # CD: the clean-side selected model, scored on the dirty variant.
-    before_cd_rows = method.where(F.col("test_variant") == "dirty")
-    before_cd = (
-        before_cd_rows.withColumn("__rn", F.row_number().over(w_after))
-        .where(F.col("__rn") == 1)
-        .select(
-            *_PAIR_KEY[:4],
-            "train_version",
-            "split_seed",
-            F.col("test_metric").alias("before_metric"),
-        )
-    )
-    cd = (
-        after_best.join(
-            before_cd,
-            on=[*_PAIR_KEY[:4], "train_version", "split_seed"],
-        )
-        .withColumn("scenario", F.lit("CD"))
-        .where(F.col("error_type") != "missing_values")
-    )
-    cols = [*_PAIR_KEY[:4], "train_version", "scenario", "split_seed",
-            "before_metric", "after_metric", "after_val"]
-    return bd.select(*cols).unionByName(cd.select(*cols))
+    return _pairs(results, _best_by_validation, [])
 
 
 def build_pairs_r3(pairs_r2: DataFrame) -> DataFrame:
@@ -185,39 +131,27 @@ def build_pairs_r3(pairs_r2: DataFrame) -> DataFrame:
     )
 
 
-_TTEST_SCHEMA_EXTRA = [
-    T.StructField("n_pairs", T.IntegerType()),
-    T.StructField("mean_before", T.DoubleType()),
-    T.StructField("mean_after", T.DoubleType()),
-    T.StructField("mean_diff", T.DoubleType()),
-    T.StructField("p_two", T.DoubleType()),
-    T.StructField("p_upper", T.DoubleType()),
-    T.StructField("p_lower", T.DoubleType()),
-]
-
-
-def _ttest_over_splits(pairs: DataFrame, key: list[str]) -> pd.DataFrame:
-    """Collect each spec's split pairs and run the three t-tests."""
-    schema = T.StructType(
-        [T.StructField(k, T.StringType()) for k in key] + _TTEST_SCHEMA_EXTRA
-    )
-
-    def _test(keyvals, pdf):
-        res = paired_ttest(pdf["before_metric"], pdf["after_metric"])
-        row = {k: v for k, v in zip(key, keyvals)}
-        row.update(
-            n_pairs=int(res.n),
-            mean_before=float(pdf["before_metric"].mean()),
-            mean_after=float(pdf["after_metric"].mean()),
-            mean_diff=res.mean_diff,
-            p_two=res.p_two,
-            p_upper=res.p_upper,
-            p_lower=res.p_lower,
+def _ttests(pairs: DataFrame, key: list[str]) -> pd.DataFrame:
+    """Per spec: pair count, means and the three t-tests over its splits."""
+    d = F.col("after_metric") - F.col("before_metric")
+    tested = (
+        pairs.groupBy(*key)
+        .agg(
+            F.count(F.lit(1)).cast("int").alias("n_pairs"),
+            F.avg("before_metric").alias("mean_before"),
+            F.avg("after_metric").alias("mean_after"),
+            F.avg(d).alias("mean_diff"),
+            F.stddev_samp(d).alias("sd_diff"),
         )
-        return pd.DataFrame([row])
-
-    tested = pairs.groupBy(*key).applyInPandas(_test, schema=schema)
-    return tested.toPandas()
+        .toPandas()
+    )
+    tests = [
+        ttest_from_moments(r.n_pairs, r.mean_diff, r.sd_diff)
+        for r in tested.itertuples()
+    ]
+    for col in ("p_two", "p_upper", "p_lower"):
+        tested[col] = [getattr(t, col) for t in tests]
+    return tested.drop(columns="sd_diff")
 
 
 def _apply_by_and_flags(tested: pd.DataFrame, alpha: float) -> pd.DataFrame:
@@ -234,22 +168,12 @@ def _apply_by_and_flags(tested: pd.DataFrame, alpha: float) -> pd.DataFrame:
 
 def build_relations(results: DataFrame, alpha: float = 0.05) -> dict[str, pd.DataFrame]:
     """Full §4 pipeline: results -> flagged R1, R2, R3 (as pandas)."""
-    pairs_r1 = build_pairs_r1(results)
+    # R3 selects from the R2 pairs without caching them: Spark keeps a
+    # cached plan's shuffle partitions uncoalesced, and scanning those
+    # measured slower than recomputing the pairs.
     pairs_r2 = build_pairs_r2(results)
-    pairs_r3 = build_pairs_r3(pairs_r2)
-    r1 = _apply_by_and_flags(
-        _ttest_over_splits(
-            pairs_r1, ["dataset", "error_type", "detect", "repair", "model", "scenario"]
-        ),
-        alpha,
-    )
-    r2 = _apply_by_and_flags(
-        _ttest_over_splits(
-            pairs_r2, ["dataset", "error_type", "detect", "repair", "scenario"]
-        ),
-        alpha,
-    )
-    r3 = _apply_by_and_flags(
-        _ttest_over_splits(pairs_r3, ["dataset", "error_type", "scenario"]), alpha
-    )
-    return {"R1": r1, "R2": r2, "R3": r3}
+    pairs = (build_pairs_r1(results), pairs_r2, build_pairs_r3(pairs_r2))
+    return {
+        name: _apply_by_and_flags(_ttests(p, key), alpha)
+        for name, p, key in zip(("R1", "R2", "R3"), pairs, (R1_KEY, R2_KEY, R3_KEY))
+    }

@@ -9,7 +9,7 @@ resulting long-format rows are all the harness needs to assemble the
 BD/CD metric pairs of R1, R2 and R3 afterwards.
 
 Runs in plain pandas/NumPy so the Spark harness can execute thousands
-of units in parallel via ``applyInPandas``.
+of units in parallel, one per ``mapInPandas`` task.
 """
 from __future__ import annotations
 

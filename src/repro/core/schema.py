@@ -19,28 +19,28 @@ def baseline_for(error_type: str) -> str:
     return DELETE_BASELINE if error_type == "missing_values" else DIRTY
 
 
-BASELINE = baseline_for
-
-
 def scenarios_for(error_type: str) -> tuple[str, ...]:
     """Valid scenarios per error type (§3.4: missing values are BD-only)."""
     return ("BD",) if error_type == "missing_values" else SCENARIOS
 
 
-# Column order of the results DataFrame produced by the harness.
-RESULT_COLUMNS = [
-    "dataset",
-    "error_type",
-    "detect",
-    "repair",
-    "split_seed",
-    "train_version",
-    "model",
-    "search_seed",
-    "test_variant",
-    "val_metric",
-    "test_metric",
+# The results DataFrame the harness produces: (column, Spark type) in
+# column order. RESULT_SCHEMA is the same list as a Spark DDL string.
+RESULT_FIELDS = [
+    ("dataset", "string"),
+    ("error_type", "string"),
+    ("detect", "string"),
+    ("repair", "string"),
+    ("split_seed", "int"),
+    ("train_version", "string"),
+    ("model", "string"),
+    ("search_seed", "int"),
+    ("test_variant", "string"),
+    ("val_metric", "double"),
+    ("test_metric", "double"),
 ]
+RESULT_COLUMNS = [name for name, _ in RESULT_FIELDS]
+RESULT_SCHEMA = ", ".join(f"{name} {dtype}" for name, dtype in RESULT_FIELDS)
 
 # Key attributes of the three relations (Table 1), minus Flag.
 R1_KEY = ["dataset", "error_type", "detect", "repair", "model", "scenario"]

@@ -5,7 +5,7 @@ Benjamini-Yekutieli procedure are implemented here in NumPy and tested
 against closed-form / reference values.
 """
 from repro.stats.special import betainc_reg, t_cdf, t_sf
-from repro.stats.ttest import PairedTTest, paired_ttest
+from repro.stats.ttest import PairedTTest, paired_ttest, ttest_from_moments
 from repro.stats.multiple_testing import by_adjust
 from repro.stats.flags import Flag, decide_flag
 
@@ -15,6 +15,7 @@ __all__ = [
     "t_sf",
     "PairedTTest",
     "paired_ttest",
+    "ttest_from_moments",
     "by_adjust",
     "Flag",
     "decide_flag",

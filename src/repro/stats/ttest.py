@@ -30,24 +30,19 @@ class PairedTTest:
     p_lower: float
 
 
-def paired_ttest(before: Sequence[float], after: Sequence[float]) -> PairedTTest:
-    """Run two-, upper- and lower-tailed paired t-tests on metric pairs.
+def ttest_from_moments(n: int, mean: float, sd: float) -> PairedTTest:
+    """The three t-tests from n differences with mean ``mean`` and sample
+    standard deviation ``sd`` (undefined, e.g. NaN, when n < 2).
 
     Degenerate cases (fewer than 2 pairs, or all differences identical)
     cannot reject anything and return p-values of 1.0 except when every
     difference is identically non-zero with zero variance, where the
     direction is certain and the corresponding one-sided p is 0.
     """
-    b = np.asarray(before, dtype=np.float64)
-    a = np.asarray(after, dtype=np.float64)
-    if b.shape != a.shape:
-        raise ValueError(f"shape mismatch: {b.shape} vs {a.shape}")
-    d = a - b
-    n = d.size
-    mean = float(d.mean()) if n else 0.0
+    n = int(n)
+    mean = float(mean)
     if n < 2:
         return PairedTTest(n, mean, np.nan, 1.0, 1.0, 1.0)
-    sd = float(d.std(ddof=1))
     if sd == 0.0:
         if mean == 0.0:
             return PairedTTest(n, mean, 0.0, 1.0, 1.0, 1.0)
@@ -62,3 +57,17 @@ def paired_ttest(before: Sequence[float], after: Sequence[float]) -> PairedTTest
     p_lower = t_cdf(t, df)
     p_two = min(1.0, 2.0 * min(p_upper, p_lower))
     return PairedTTest(n, mean, float(t), p_two, p_upper, p_lower)
+
+
+def paired_ttest(before: Sequence[float], after: Sequence[float]) -> PairedTTest:
+    """Run two-, upper- and lower-tailed paired t-tests on metric pairs;
+    see :func:`ttest_from_moments` for the degenerate cases."""
+    b = np.asarray(before, dtype=np.float64)
+    a = np.asarray(after, dtype=np.float64)
+    if b.shape != a.shape:
+        raise ValueError(f"shape mismatch: {b.shape} vs {a.shape}")
+    d = a - b
+    n = d.size
+    mean = float(d.mean()) if n else 0.0
+    sd = float(d.std(ddof=1)) if n >= 2 else np.nan
+    return ttest_from_moments(n, mean, sd)

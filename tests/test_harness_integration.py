@@ -1,8 +1,9 @@
-"""Integration test: the full Spark dataflow (grid -> applyInPandas ->
+"""Integration test: the full Spark dataflow (grid -> mapInPandas ->
 relations -> queries -> report) at smoke scale."""
 import dataclasses
 
 import pytest
+from pyspark.sql import functions as F
 
 from repro.core.harness import build_grid, run_grid
 from repro.core.protocol import SMOKE
@@ -32,6 +33,25 @@ class TestGrid:
         grid = build_grid(PROTO)
         # 6 MV + 5 outlier + 4 dup + 4 inc + 9 mislabel datasets = 28 units/split.
         assert len(grid) == 28 * PROTO.n_splits
+
+    def test_one_unit_per_partition(self, spark):
+        proto = dataclasses.replace(SMOKE, n_splits=4, models=("naive_bayes",))
+        out = run_grid(spark, proto, ("outliers",), ("Credit",))
+        try:
+            units = (
+                out.select(
+                    F.spark_partition_id().alias("pid"),
+                    "dataset",
+                    "error_type",
+                    "split_seed",
+                )
+                .distinct()
+                .toPandas()
+            )
+        finally:
+            out.unpersist()
+        assert sorted(units.split_seed) == [100, 101, 102, 103]
+        assert units.pid.is_unique
 
 
 class TestResults:

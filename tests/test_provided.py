@@ -1,52 +1,38 @@
-"""Sanity tests for the provided substrate modules (oracle, synth_data)
-so a regression there is caught close to its source."""
+"""Sanity tests for the DuckDB oracle so a regression there is caught
+close to its source."""
+import pandas as pd
 import pytest
 
-from repro import synth_data
 from repro.oracle import assert_equivalent
 
 
+@pytest.fixture(scope="module")
+def flags(spark):
+    pdf = pd.DataFrame(
+        {
+            "flag": ["P", "N", "S", "S", "P", "S"],
+            "dataset": ["A", "A", "A", "B", "B", "B"],
+            "p": [0.01, 0.02, 0.5, 0.7, 0.001, 0.9],
+        }
+    )
+    return spark.createDataFrame(pdf)
+
+
 class TestOracle:
-    def test_accepts_matching_aggregate(self, spark):
-        li = synth_data.lineitem(spark, sf=0.001)
-        got = li.groupBy("l_returnflag").count().withColumnRenamed("count", "n")
+    def test_accepts_matching_aggregate(self, flags):
+        got = flags.groupBy("flag").count().withColumnRenamed("count", "n")
         assert_equivalent(
-            got,
-            "SELECT l_returnflag, COUNT(*) AS n FROM li GROUP BY l_returnflag",
-            li=li,
+            got, "SELECT flag, COUNT(*) AS n FROM flags GROUP BY flag", flags=flags
         )
 
-    def test_rejects_wrong_result(self, spark):
-        li = synth_data.lineitem(spark, sf=0.001)
-        wrong = li.limit(5).select("l_orderkey")
+    def test_rejects_wrong_result(self, flags):
+        wrong = flags.limit(2).select("dataset")
         with pytest.raises(AssertionError):
-            assert_equivalent(
-                wrong, "SELECT l_orderkey FROM li", li=li
-            )
+            assert_equivalent(wrong, "SELECT dataset FROM flags", flags=flags)
 
-    def test_rejects_column_mismatch(self, spark):
-        li = synth_data.lineitem(spark, sf=0.001)
-        got = li.groupBy("l_returnflag").count()
+    def test_rejects_column_mismatch(self, flags):
+        got = flags.groupBy("flag").count()
         with pytest.raises(AssertionError, match="column mismatch"):
             assert_equivalent(
-                got,
-                "SELECT l_returnflag, COUNT(*) AS n FROM li GROUP BY l_returnflag",
-                li=li,
+                got, "SELECT flag, COUNT(*) AS n FROM flags GROUP BY flag", flags=flags
             )
-
-
-class TestSynthData:
-    def test_deterministic(self, spark):
-        a = synth_data.orders(spark, sf=0.001).toPandas()
-        b = synth_data.orders(spark, sf=0.001).toPandas()
-        assert a.equals(b)
-
-    def test_zipf_skew(self, spark):
-        zipf = synth_data.zipf_keys(spark, n=5000, n_keys=100, seed=0).toPandas()
-        uni = synth_data.uniform_keys(spark, n=5000, n_keys=100, seed=0).toPandas()
-        assert zipf.k.value_counts().iloc[0] > uni.k.value_counts().iloc[0]
-
-    def test_scale_factor(self, spark):
-        small = synth_data.customer(spark, sf=0.001).count()
-        large = synth_data.customer(spark, sf=0.002).count()
-        assert large == 2 * small

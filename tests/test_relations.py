@@ -180,3 +180,62 @@ class TestMissingValuesSemantics:
         assert set(pairs.scenario) == {"BD"}
         assert pairs.before_metric.unique().tolist() == [pytest.approx(0.6)]
         assert pairs.after_metric.unique().tolist() == [pytest.approx(0.68)]
+
+
+class TestDegenerateSpecs:
+    """Specs whose split differences have no spread, through the Spark
+    aggregation of build_relations: one dataset per case."""
+
+    SPLITS_BY_DATASET = {"Single": [100], "Constant": SPLITS, "Zero": SPLITS}
+
+    @pytest.fixture(scope="class")
+    def rel(self, spark):
+        rows = []
+        for dataset, splits in self.SPLITS_BY_DATASET.items():
+            for version, split, variant in itertools.product(
+                ["dirty", "SD:delete"], splits, ["dirty", "SD:delete"]
+            ):
+                gain = dataset != "Zero" and version == variant == "SD:delete"
+                rows.append(
+                    {
+                        "dataset": dataset,
+                        "error_type": "outliers",
+                        "detect": "SD" if version != "dirty" else "none",
+                        "repair": "delete" if version != "dirty" else "none",
+                        "split_seed": split,
+                        "train_version": version,
+                        "model": "m1",
+                        "search_seed": 1,
+                        "test_variant": variant,
+                        "val_metric": 0.7,
+                        "test_metric": 0.7 if gain else 0.6,
+                    }
+                )
+        return build_relations(spark.createDataFrame(pd.DataFrame(rows)), alpha=0.05)
+
+    @staticmethod
+    def _rows(rel, dataset):
+        return [r[r.dataset == dataset] for r in rel.values()]
+
+    def test_single_split(self, rel):
+        for r in self._rows(rel, "Single"):
+            assert (r.n_pairs == 1).all()
+            for col in ("p_two", "p_upper", "p_lower"):
+                assert (r[col] == 1.0).all(), col
+            assert (r.flag == "S").all()
+
+    def test_identical_nonzero_differences(self, rel):
+        for r in self._rows(rel, "Constant"):
+            assert len(r) == 2  # BD and CD
+            assert (r.mean_diff > 0).all()
+            assert (r.p_two == 0.0).all() and (r.p_upper == 0.0).all()
+            assert (r.p_lower == 1.0).all()
+            assert (r.flag == "P").all()
+
+    def test_all_zero_differences(self, rel):
+        for r in self._rows(rel, "Zero"):
+            assert len(r) == 2
+            assert (r.mean_diff == 0.0).all()
+            for col in ("p_two", "p_upper", "p_lower"):
+                assert (r[col] == 1.0).all(), col
+            assert (r.flag == "S").all()
