@@ -145,6 +145,9 @@ def _ttests(pairs: DataFrame, key: list[str]) -> pd.DataFrame:
         )
         .toPandas()
     )
+    # Spark returns the groups in no fixed order; sort by key so the
+    # relation is the same however the results are partitioned.
+    tested = tested.sort_values(key, ignore_index=True)
     tests = [
         ttest_from_moments(r.n_pairs, r.mean_diff, r.sd_diff)
         for r in tested.itertuples()
@@ -167,7 +170,11 @@ def _apply_by_and_flags(tested: pd.DataFrame, alpha: float) -> pd.DataFrame:
 
 
 def build_relations(results: DataFrame, alpha: float = 0.05) -> dict[str, pd.DataFrame]:
-    """Full §4 pipeline: results -> flagged R1, R2, R3 (as pandas)."""
+    """Full §4 pipeline: results -> flagged R1, R2, R3 (as pandas), each
+    sorted by its key."""
+    # run_grid leaves one partition per work unit, and each scan of the
+    # results costs per partition; one partition per core is enough.
+    results = results.coalesce(results.sparkSession.sparkContext.defaultParallelism)
     # R3 selects from the R2 pairs without caching them: Spark keeps a
     # cached plan's shuffle partitions uncoalesced, and scanning those
     # measured slower than recomputing the pairs.

@@ -11,6 +11,13 @@ random-search protocol at a scale appropriate for the scaled-down
 datasets. XGBoost is reproduced as "XGBoost-lite": Newton (second-order)
 gradient boosting with L2-regularized leaf weights — the core of the
 XGBoost algorithm — since the xgboost package is unavailable offline.
+
+The four tree models share ``ml.tree``: each bins its training matrix
+once per fit, and each ensemble stacks its trees into one flat ``Tree``
+when the fit ends, so predicting is one ``tree_apply`` call. AdaBoost and
+XGBoost-lite take each new tree's training-set predictions from the
+grower (``Tree.fitted``) instead of applying the tree to the training
+matrix again.
 """
 from __future__ import annotations
 
@@ -20,6 +27,7 @@ from repro.ml.tree import (
     Binner,
     fit_tree_classifier,
     fit_tree_newton,
+    stack_trees,
     tree_apply,
 )
 
@@ -119,7 +127,7 @@ class DecisionTree(_Model):
         )
 
     def _decision(self, X):
-        return tree_apply(self.tree_, self.binner_.transform(X))
+        return tree_apply(self.tree_, self.binner_.transform(X))[0]
 
 
 class RandomForest(_Model):
@@ -132,10 +140,10 @@ class RandomForest(_Model):
         B = self.binner_.transform(X)
         n = X.shape[0]
         mf = max(1, int(np.sqrt(B.shape[1])))
-        self.trees_ = []
+        trees = []
         for _ in range(n_trees):
             boot = rng.integers(0, n, size=n)
-            self.trees_.append(
+            trees.append(
                 fit_tree_classifier(
                     B[boot],
                     y[boot],
@@ -145,11 +153,10 @@ class RandomForest(_Model):
                     rng=rng,
                 )
             )
+        self.trees_ = stack_trees(trees)
 
     def _decision(self, X):
-        B = self.binner_.transform(X)
-        votes = np.mean([tree_apply(t, B) > 0.5 for t in self.trees_], axis=0)
-        return votes
+        return np.mean(tree_apply(self.trees_, self.binner_.transform(X)) > 0.5, axis=0)
 
 
 class AdaBoost(_Model):
@@ -162,30 +169,36 @@ class AdaBoost(_Model):
         B = self.binner_.transform(X)
         n = X.shape[0]
         w = np.full(n, 1.0 / n)
-        self.stages_ = []
+        trees, alphas = [], []
         y_pm = 2 * y - 1
         for _ in range(T):
             tree = fit_tree_classifier(B, y, w, max_depth=depth, min_leaf=1)
-            pred = (tree_apply(tree, B) > 0.5).astype(np.int64)
+            pred = (tree.fitted > 0.5).astype(np.int64)
             pred_pm = 2 * pred - 1
             err = float(w[pred != y].sum())
             if err <= 1e-10:
-                self.stages_.append((tree, 10.0))
+                trees.append(tree)
+                alphas.append(10.0)
                 break
             if err >= 0.5:
-                if not self.stages_:
-                    self.stages_.append((tree, 1e-6))
+                if not trees:
+                    trees.append(tree)
+                    alphas.append(1e-6)
                 break
             alpha = 0.5 * np.log((1 - err) / err)
-            self.stages_.append((tree, alpha))
+            trees.append(tree)
+            alphas.append(alpha)
             w *= np.exp(-alpha * y_pm * pred_pm)
             w /= w.sum()
+        self.trees_ = stack_trees(trees)
+        self.alphas_ = np.array(alphas)
 
     def _decision(self, X):
-        B = self.binner_.transform(X)
-        score = np.zeros(B.shape[0])
-        for tree, alpha in self.stages_:
-            score += alpha * (2 * (tree_apply(tree, B) > 0.5) - 1)
+        leaves = tree_apply(self.trees_, self.binner_.transform(X))
+        score = np.zeros(X.shape[0])
+        # Stage by stage, in fit order: a matrix product may reorder the sum.
+        for alpha, leaf in zip(self.alphas_, leaves):
+            score += alpha * (2 * (leaf > 0.5) - 1)
         return (score > 0).astype(np.float64)
 
 
@@ -203,20 +216,21 @@ class XGBoostLite(_Model):
         self.base_ = np.log(p0 / (1 - p0))
         self.eta_ = eta
         raw = np.full(X.shape[0], self.base_)
-        self.trees_ = []
+        trees = []
         for _ in range(T):
             p = 1.0 / (1.0 + np.exp(-np.clip(raw, -30, 30)))
             grad = p - y
             hess = np.maximum(p * (1 - p), 1e-6)
             tree = fit_tree_newton(B, grad, hess, max_depth=depth, lam=lam)
-            self.trees_.append(tree)
-            raw += eta * tree_apply(tree, B)
+            trees.append(tree)
+            raw += eta * tree.fitted
+        self.trees_ = stack_trees(trees)
 
     def _decision(self, X):
-        B = self.binner_.transform(X)
-        raw = np.full(B.shape[0], self.base_)
-        for tree in self.trees_:
-            raw += self.eta_ * tree_apply(tree, B)
+        raw = np.full(X.shape[0], self.base_)
+        # Round by round, as in the fit: a matrix product may reorder the sum.
+        for leaf in tree_apply(self.trees_, self.binner_.transform(X)):
+            raw += self.eta_ * leaf
         return 1.0 / (1.0 + np.exp(-np.clip(raw, -30, 30)))
 
 

@@ -85,7 +85,8 @@ class TestModelSpecifics:
     def test_adaboost_stages_bounded(self, separable):
         X, y, _, _ = separable
         m = make_model("adaboost", {"n_estimators": 5}).fit(X, y)
-        assert 1 <= len(m.stages_) <= 5
+        assert 1 <= len(m.alphas_) <= 5
+        assert m.trees_.roots.size == len(m.alphas_)
 
     def test_xgboost_more_rounds_fit_tighter(self, separable):
         X, y, _, _ = separable
@@ -97,7 +98,13 @@ class TestModelSpecifics:
         X, y, _, _ = separable
         m1 = make_model("random_forest", {"n_trees": 5}, seed=1).fit(X, y)
         m2 = make_model("random_forest", {"n_trees": 5}, seed=2).fit(X, y)
-        assert m1.trees_ != m2.trees_
+        t1, t2 = m1.trees_, m2.trees_
+        assert t1.roots.size == t2.roots.size == 5
+        assert not (
+            np.array_equal(t1.feat, t2.feat)
+            and np.array_equal(t1.thr, t2.thr)
+            and np.array_equal(t1.value, t2.value)
+        )
 
     def test_naive_bayes_priors_sum_to_one(self, separable):
         X, y, _, _ = separable

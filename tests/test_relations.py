@@ -11,6 +11,7 @@ from repro.core.relations import (
     build_pairs_r3,
     build_relations,
 )
+from repro.core.schema import R1_KEY, R2_KEY, R3_KEY
 
 MODELS = ["m1", "m2"]
 SEEDS = [1, 2]
@@ -131,25 +132,36 @@ class TestR3Pairs:
 
 
 class TestBuildRelations:
-    def test_flags_positive_everywhere(self, results):
-        rel = build_relations(results, alpha=0.05)
+    @pytest.fixture(scope="class")
+    def rel(self, results):
+        return build_relations(results, alpha=0.05)
+
+    def test_flags_positive_everywhere(self, rel):
         # The synthetic metrics improve by ~0.1 with zero variance
         # across splits, so every hypothesis must be flagged P.
         for name in ("R1", "R2", "R3"):
             assert (rel[name].flag == "P").all(), name
 
-    def test_relation_sizes(self, results):
-        rel = build_relations(results)
+    def test_relation_sizes(self, rel):
         assert len(rel["R1"]) == 8   # 2 methods x 2 models x 2 scenarios
         assert len(rel["R2"]) == 4   # 2 methods x 2 scenarios
         assert len(rel["R3"]) == 2   # 2 scenarios
 
-    def test_r1_contains_pvalue_columns(self, results):
-        r1 = build_relations(results)["R1"]
+    def test_r1_contains_pvalue_columns(self, rel):
+        r1 = rel["R1"]
         for col in ("p_two", "p_upper", "p_lower", "p_two_adj", "flag",
                     "mean_before", "mean_after", "n_pairs"):
             assert col in r1.columns
         assert (r1.n_pairs == len(SPLITS)).all()
+
+    def test_sorted_by_key_under_any_partitioning(self, results, rel):
+        """Each relation comes back sorted by its key, so one partition
+        gives the same frames as the fixture's several."""
+        assert results.rdd.getNumPartitions() > 1
+        one = build_relations(results.repartition(1), alpha=0.05)
+        for name, key in (("R1", R1_KEY), ("R2", R2_KEY), ("R3", R3_KEY)):
+            pd.testing.assert_frame_equal(rel[name], rel[name].sort_values(key, ignore_index=True))
+            pd.testing.assert_frame_equal(one[name], rel[name], check_exact=False, rtol=1e-12, atol=0)
 
 
 class TestMissingValuesSemantics:
