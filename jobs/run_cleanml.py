@@ -5,8 +5,10 @@
 
 Writes ``results/results.parquet`` (the long per-fit results
 DataFrame), ``results/R{1,2,3}.csv`` (the flagged relations), and
-prints flag counts. `jobs/table15.py` turns these into the Table 15
-report.
+prints flag counts. `jobs/table15.py` turns the CSVs into the Table 15
+report. The parquet is a local output: it is not committed (see
+``.gitignore``) and nothing in the repository reads it; the committed
+record of a run is the CSVs and ``PROTOCOL.txt``.
 """
 import argparse
 import os

@@ -1,14 +1,13 @@
 """Cleaning substrate: Table 2 detect/repair methods.
 
-Every method exists in two equivalent forms sharing one fitted stats
-object (statistics always computed on the training set, §4.1 step 2):
+Every method is a pandas function over one unit's frame, paired with a
+stats object fitted on the training set only (§4.1 step 2) and applied
+to train and test alike. The grid runs them inside ``mapInPandas``
+tasks, where per-unit frames are a few hundred to a few thousand rows;
+the modules import no Spark, so a work unit is pure pandas/NumPy.
 
-* a **Spark DataFrame transform** (Column expressions, window
-  functions, aggregations) — the production dataflow path, and
-* a **pandas twin** used inside ``mapInPandas`` tasks by the grid
-  harness, where per-unit frames are a few hundred rows.
-
-Cross-form equivalence is covered by tests per error type.
+DuckDB oracle tests (``repro.oracle``) pin the SQL semantics of
+missing-value and outlier deletion and imputation, and of dedup.
 """
 from repro.cleaning.registry import (
     CleaningMethod,

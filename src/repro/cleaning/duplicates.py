@@ -2,14 +2,11 @@
 
 Detection is key collision: two records with identical values on the
 dataset's key attribute(s) refer to the same real-world entity. Repair
-keeps the first record (in the frame's stable order) and deletes the
-rest.
+keeps the first record in the frame's row order and deletes the rest.
 """
 from __future__ import annotations
 
 import pandas as pd
-from pyspark.sql import DataFrame, Window
-from pyspark.sql import functions as F
 
 
 def detect_duplicates_pandas(pdf: pd.DataFrame, key_cols: list[str]) -> pd.Series:
@@ -20,17 +17,3 @@ def detect_duplicates_pandas(pdf: pd.DataFrame, key_cols: list[str]) -> pd.Serie
 def dedup_pandas(pdf: pd.DataFrame, key_cols: list[str]) -> pd.DataFrame:
     """Keep the first record per key, drop the rest."""
     return pdf.drop_duplicates(subset=key_cols, keep="first").reset_index(drop=True)
-
-
-def dedup_spark(sdf: DataFrame, key_cols: list[str], order_col: str) -> DataFrame:
-    """Spark transform: row_number over a key-partitioned window.
-
-    ``order_col`` must be a stable ordering column (e.g. a row id) so
-    "first" is deterministic — Spark DataFrames have no intrinsic order.
-    """
-    w = Window.partitionBy(*key_cols).orderBy(F.col(order_col))
-    return (
-        sdf.withColumn("__rn", F.row_number().over(w))
-        .where(F.col("__rn") == 1)
-        .drop("__rn")
-    )

@@ -14,9 +14,6 @@ import re
 from dataclasses import dataclass, field
 
 import pandas as pd
-from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
-from pyspark.sql import types as T
 
 _PUNCT = re.compile(r"[^\w\s]")
 
@@ -73,41 +70,4 @@ def merge_pandas(pdf: pd.DataFrame, stats: MergeStats, cols: list[str]) -> pd.Da
         out[c] = out[c].map(
             lambda v: canon.get(fingerprint(v), v) if pd.notna(v) else v
         )
-    return out
-
-
-def fit_merge_stats_spark(train: DataFrame, cols: list[str]) -> MergeStats:
-    """Spark-native fit: fingerprint UDF + groupBy to pick the most
-    frequent variant per cluster."""
-    fp_udf = F.udf(fingerprint, T.StringType())
-    stats = MergeStats()
-    for c in cols:
-        counted = (
-            train.where(F.col(c).isNotNull())
-            .groupBy(c)
-            .count()
-            .withColumn("__fp", fp_udf(F.col(c).cast("string")))
-        )
-        from pyspark.sql import Window
-
-        w = Window.partitionBy("__fp").orderBy(F.desc("count"), F.asc(c))
-        rows = (
-            counted.withColumn("__rn", F.row_number().over(w))
-            .where(F.col("__rn") == 1)
-            .select("__fp", F.col(c).alias("canonical"))
-            .collect()
-        )
-        stats.canonical[c] = {r["__fp"]: str(r["canonical"]) for r in rows}
-    return stats
-
-
-def merge_spark(sdf: DataFrame, stats: MergeStats, cols: list[str]) -> DataFrame:
-    """Spark transform: map values through the fitted canonical mapping."""
-    fp_udf = F.udf(fingerprint, T.StringType())
-    out = sdf
-    for c in cols:
-        mapping = stats.canonical[c]
-        map_expr = F.create_map(*[F.lit(x) for kv in mapping.items() for x in kv])
-        fp = fp_udf(F.col(c).cast("string"))
-        out = out.withColumn(c, F.coalesce(map_expr[fp], F.col(c)))
     return out

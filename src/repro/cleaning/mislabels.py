@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
 NOISE_RATE = 0.05
 TRUE_LABEL = "_true_label"
@@ -57,8 +55,3 @@ def repair_mislabels_pandas(pdf: pd.DataFrame, label: str) -> pd.DataFrame:
     out = pdf.copy()
     out[label] = out[TRUE_LABEL]
     return out
-
-
-def repair_mislabels_spark(sdf: DataFrame, label: str) -> DataFrame:
-    """Spark transform twin of :func:`repair_mislabels_pandas`."""
-    return sdf.withColumn(label, F.col(TRUE_LABEL))

@@ -10,8 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import pandas as pd
-from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
 DUMMY = "missing"
 
@@ -85,78 +83,3 @@ def split_repair(repair: str) -> tuple[str, str]:
     """'mean_dummy' -> ('mean', 'dummy')."""
     num_method, cat_method = repair.split("_", 1)
     return num_method, cat_method
-
-
-def fit_impute_stats_spark(
-    train: DataFrame, numeric: list[str], categorical: list[str]
-) -> ImputeStats:
-    """Spark-native stats fit: one aggregation pass + mode via groupBy."""
-    stats = ImputeStats()
-    if numeric:
-        aggs = []
-        for c in numeric:
-            aggs += [
-                F.avg(F.col(c)).alias(f"{c}__mean"),
-                F.expr(f"percentile(`{c}`, 0.5)").alias(f"{c}__median"),
-            ]
-        row = train.agg(*aggs).collect()[0]
-        for c in numeric:
-            stats.num_mean[c] = float(row[f"{c}__mean"]) if row[f"{c}__mean"] is not None else 0.0
-            stats.num_median[c] = (
-                float(row[f"{c}__median"]) if row[f"{c}__median"] is not None else 0.0
-            )
-            mode_rows = (
-                train.where(F.col(c).isNotNull())
-                .groupBy(c)
-                .count()
-                .orderBy(F.desc("count"), F.asc(c))
-                .limit(1)
-                .collect()
-            )
-            stats.num_mode[c] = float(mode_rows[0][0]) if mode_rows else 0.0
-    for c in categorical:
-        mode_rows = (
-            train.where(F.col(c).isNotNull())
-            .groupBy(c)
-            .count()
-            .orderBy(F.desc("count"), F.asc(c))
-            .limit(1)
-            .collect()
-        )
-        stats.cat_mode[c] = str(mode_rows[0][0]) if mode_rows else DUMMY
-    return stats
-
-
-def delete_missing_spark(sdf: DataFrame, cols: list[str]) -> DataFrame:
-    """Spark transform: drop rows with any NULL/NaN among ``cols``."""
-    cond = None
-    for c in cols:
-        c_missing = F.col(c).isNull()
-        if isinstance(sdf.schema[c].dataType.simpleString(), str) and sdf.schema[
-            c
-        ].dataType.simpleString() in ("double", "float"):
-            c_missing = c_missing | F.isnan(F.col(c))
-        cond = c_missing if cond is None else (cond | c_missing)
-    return sdf if cond is None else sdf.where(~cond)
-
-
-def impute_spark(
-    sdf: DataFrame,
-    stats: ImputeStats,
-    *,
-    numeric: list[str],
-    categorical: list[str],
-    num_method: str,
-    cat_method: str,
-) -> DataFrame:
-    """Spark transform: COALESCE every column to its fitted fill value."""
-    out = sdf
-    for c in numeric:
-        fill = F.lit(stats.numeric_value(c, num_method))
-        col = F.col(c).cast("double")
-        is_missing = col.isNull() | F.isnan(col)
-        out = out.withColumn(c, F.when(is_missing, fill).otherwise(col))
-    for c in categorical:
-        fill = F.lit(DUMMY if cat_method == "dummy" else stats.cat_mode[c])
-        out = out.withColumn(c, F.coalesce(F.col(c), fill))
-    return out

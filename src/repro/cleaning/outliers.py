@@ -20,8 +20,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
 from repro.cleaning.isolation_forest import IsolationForest
 
@@ -125,90 +123,4 @@ def repair_pandas(pdf: pd.DataFrame, stats: OutlierStats, repair: str) -> pd.Dat
     for c in stats.numeric:
         col = pd.to_numeric(out[c], errors="coerce")
         out[c] = col.mask(mask[c], stats.fill_value(c, repair))
-    return out
-
-
-def fit_outlier_stats_spark(
-    train: DataFrame, numeric: list[str], detect: str, *, seed: int = 0
-) -> OutlierStats:
-    """Spark-native fit for SD/IQR bounds (IF fits its forest on a
-    driver-collected numeric matrix — the forest subsamples 256 rows)."""
-    if detect == "IF":
-        return fit_outlier_stats(
-            train.select(*numeric).toPandas(), numeric, detect, seed=seed
-        )
-    stats = OutlierStats(detect=detect, numeric=list(numeric))
-    aggs = []
-    for c in numeric:
-        if detect == "SD":
-            aggs += [
-                F.avg(c).alias(f"{c}__mu"),
-                F.stddev_pop(c).alias(f"{c}__sd"),
-            ]
-        else:
-            aggs += [
-                F.expr(f"percentile(`{c}`, 0.25)").alias(f"{c}__q1"),
-                F.expr(f"percentile(`{c}`, 0.75)").alias(f"{c}__q3"),
-            ]
-    row = train.agg(*aggs).collect()[0]
-    for c in numeric:
-        if detect == "SD":
-            mu, sd = float(row[f"{c}__mu"]), float(row[f"{c}__sd"] or 0.0)
-            stats.bounds[c] = (mu - SD_N * sd, mu + SD_N * sd)
-        else:
-            q1, q3 = float(row[f"{c}__q1"]), float(row[f"{c}__q3"])
-            iqr = q3 - q1
-            stats.bounds[c] = (q1 - IQR_K * iqr, q3 + IQR_K * iqr)
-    # Inlier repair statistics via a second Spark aggregation pass.
-    inlier_aggs = []
-    for c in numeric:
-        lo, hi = stats.bounds[c]
-        inl = F.when((F.col(c) >= lo) & (F.col(c) <= hi), F.col(c))
-        inlier_aggs += [
-            F.avg(inl).alias(f"{c}__mean"),
-            F.expr(
-                f"percentile(CASE WHEN `{c}` >= {lo} AND `{c}` <= {hi} "
-                f"THEN `{c}` END, 0.5)"
-            ).alias(f"{c}__median"),
-        ]
-    row2 = train.agg(*inlier_aggs).collect()[0]
-    for c in numeric:
-        lo, hi = stats.bounds[c]
-        stats.fill_mean[c] = float(row2[f"{c}__mean"] or 0.0)
-        stats.fill_median[c] = float(row2[f"{c}__median"] or 0.0)
-        mode_rows = (
-            train.where((F.col(c) >= lo) & (F.col(c) <= hi))
-            .groupBy(c)
-            .count()
-            .orderBy(F.desc("count"), F.asc(c))
-            .limit(1)
-            .collect()
-        )
-        stats.fill_mode[c] = float(mode_rows[0][0]) if mode_rows else 0.0
-    return stats
-
-
-def _outlier_cond(c: str, stats: OutlierStats):
-    lo, hi = stats.bounds[c]
-    return (F.col(c) < lo) | (F.col(c) > hi)
-
-
-def repair_spark(sdf: DataFrame, stats: OutlierStats, repair: str) -> DataFrame:
-    """Spark transform of the SD/IQR repairs (IF repairs go through the
-    pandas twin inside tasks; its per-row scoring is model-based)."""
-    if stats.detect == "IF":
-        raise NotImplementedError("IF repair is provided by the pandas twin")
-    if repair == "delete":
-        cond = None
-        for c in stats.numeric:
-            oc = _outlier_cond(c, stats)
-            cond = oc if cond is None else (cond | oc)
-        return sdf if cond is None else sdf.where(~cond)
-    out = sdf
-    for c in stats.numeric:
-        fill = F.lit(stats.fill_value(c, repair))
-        out = out.withColumn(
-            c,
-            F.when(_outlier_cond(c, stats), fill).otherwise(F.col(c).cast("double")),
-        )
     return out

@@ -1,11 +1,8 @@
 """ML substrate: preprocessing, the seven CleanML classifiers, search.
 
-Two backends share the model registry names (paper §3.3):
-
-* :mod:`repro.ml.models` — vectorized NumPy implementations used to
-  populate the full benchmark grid from inside Spark tasks.
-* :mod:`repro.ml.mllib` — Spark MLlib pipeline stages (plus custom KNN
-  and AdaBoost stages, which MLlib lacks).
+One backend (paper §3.3): :mod:`repro.ml.models` holds vectorized NumPy
+implementations of all seven models, which the grid fits and scores
+inside each unit's Spark task.
 """
 from repro.ml.features import Featurizer, downsample_majority
 from repro.ml.models import MODEL_NAMES, make_model

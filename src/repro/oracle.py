@@ -1,19 +1,19 @@
 """DuckDB correctness oracle.
 
-``assert_equivalent(spark_df, sql, **tables)`` runs ``sql`` in DuckDB
-over ``tables`` and asserts the sorted rows match ``spark_df`` (the
-Spark result). This catches wrong results from a rewritten plan or a
-custom operator — "it ran" is not "it is correct".
+``assert_equivalent(result, sql, **tables)`` runs ``sql`` in DuckDB
+over ``tables`` and asserts the sorted rows match ``result``. This
+catches wrong results from a rewritten plan, a custom operator or a
+pandas cleaning function — "it ran" is not "it is correct".
 
-``tables`` may be Spark or pandas DataFrames; Spark inputs are
-collected via ``.toPandas()``. Alias every output column identically
-on both sides (Spark names ``count(*)`` as ``count(1)``, DuckDB as
-``count_star()``) and project to scalar columns — array/map/struct
-columns are not orderable so cannot be compared here.
+``result`` and ``tables`` may be pandas frames or anything with a
+``.toPandas()`` (Spark DataFrames), which is collected. Alias every
+output column identically on both sides (Spark names ``count(*)`` as
+``count(1)``, DuckDB as ``count_star()``) and project to scalar
+columns — array/map/struct columns are not orderable so cannot be
+compared here.
 """
 import duckdb
 import pandas as pd
-from pyspark.sql import DataFrame
 
 
 def _canon(pdf: pd.DataFrame) -> pd.DataFrame:
@@ -25,15 +25,19 @@ def _canon(pdf: pd.DataFrame) -> pd.DataFrame:
     return pdf.sort_values(list(pdf.columns)).reset_index(drop=True)
 
 
-def assert_equivalent(spark_df: DataFrame, sql: str, **tables) -> None:
+def _collect(frame) -> pd.DataFrame:
+    return frame if isinstance(frame, pd.DataFrame) else frame.toPandas()
+
+
+def assert_equivalent(result, sql: str, **tables) -> None:
     con = duckdb.connect()
     try:
         for name, t in tables.items():
-            con.register(name, t.toPandas() if isinstance(t, DataFrame) else t)
+            con.register(name, _collect(t))
         expected = con.execute(sql).fetchdf()
     finally:
         con.close()
-    got = spark_df.toPandas()
+    got = _collect(result)
     assert set(expected.columns) == set(got.columns), (
         f"column mismatch: {sorted(got.columns)} vs {sorted(expected.columns)} "
         "— alias every output column identically on both sides"

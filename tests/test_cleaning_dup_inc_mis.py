@@ -1,28 +1,23 @@
-"""Duplicates, inconsistencies, mislabels cleaning + registry tests."""
+"""Duplicates (with DuckDB oracle), inconsistencies, mislabels, registry."""
 import numpy as np
 import pandas as pd
 import pytest
-from pyspark.sql import functions as F
 
 from repro.cleaning.duplicates import (
     dedup_pandas,
-    dedup_spark,
     detect_duplicates_pandas,
 )
 from repro.cleaning.inconsistencies import (
     fingerprint,
     fit_merge_stats,
-    fit_merge_stats_spark,
     detect_inconsistent_pandas,
     merge_pandas,
-    merge_spark,
 )
 from repro.cleaning.mislabels import (
     TRUE_LABEL,
     detect_mislabels_pandas,
     inject_mislabels,
     repair_mislabels_pandas,
-    repair_mislabels_spark,
 )
 from repro.cleaning.registry import ERROR_TYPES, CleaningMethod, methods_for
 from repro.oracle import assert_equivalent
@@ -47,14 +42,9 @@ class TestDuplicates:
         out = dedup_pandas(dup_frame, ["key"])
         assert out.v.tolist() == [10, 20, 30, 40]
 
-    def test_dedup_spark_matches(self, spark, dup_frame):
-        sdf = spark.createDataFrame(dup_frame.reset_index(names="rid"))
-        got = dedup_spark(sdf, ["key"], "rid").toPandas().sort_values("key")
-        assert got.v.tolist() == [10, 20, 30, 40]
-
-    def test_dedup_spark_against_oracle(self, spark, dup_frame):
+    def test_dedup_against_oracle(self, dup_frame):
         pdf = dup_frame.reset_index(names="rid")
-        out = dedup_spark(spark.createDataFrame(pdf), ["key"], "rid").select("key", "v")
+        out = dedup_pandas(pdf, ["key"])[["key", "v"]]
         assert_equivalent(
             out,
             """SELECT key, v FROM (
@@ -103,26 +93,6 @@ class TestInconsistencies:
         out = merge_pandas(train, stats, ["c"])
         assert out.c.isna().sum() == 1
 
-    def test_spark_stats_match_pandas(self, spark):
-        pdf = pd.DataFrame(
-            {"c": ["English", "English", "english", "en", "French", "french!"]}
-        )
-        s_pd = fit_merge_stats(pdf, ["c"])
-        s_sp = fit_merge_stats_spark(spark.createDataFrame(pdf), ["c"])
-        assert s_sp.canonical["c"] == s_pd.canonical["c"]
-
-    def test_spark_merge_matches_pandas(self, spark):
-        pdf = pd.DataFrame({"c": ["A b", "a B", "a b!", "zz", "A b"]})
-        stats = fit_merge_stats(pdf, ["c"])
-        got = (
-            merge_spark(spark.createDataFrame(pdf), stats, ["c"])
-            .toPandas()
-            .c.sort_values()
-            .tolist()
-        )
-        want = merge_pandas(pdf, stats, ["c"]).c.sort_values().tolist()
-        assert got == want
-
 
 @pytest.fixture
 def labeled():
@@ -164,11 +134,6 @@ class TestMislabels:
         out = inject_mislabels(labeled, "y", variant="uniform", seed=3)
         fixed = repair_mislabels_pandas(out, "y")
         assert (fixed.y == fixed[TRUE_LABEL]).all()
-
-    def test_repair_spark_matches(self, spark, labeled):
-        out = inject_mislabels(labeled, "y", variant="uniform", seed=4)
-        got = repair_mislabels_spark(spark.createDataFrame(out), "y").toPandas()
-        assert (got.y == got[TRUE_LABEL]).all()
 
     def test_injection_deterministic(self, labeled):
         a = inject_mislabels(labeled, "y", variant="uniform", seed=5)

@@ -1,4 +1,4 @@
-"""Missing-value cleaning: pandas/Spark equivalence + DuckDB oracle."""
+"""Missing-value cleaning: stats, deletion, imputation + DuckDB oracle."""
 import numpy as np
 import pandas as pd
 import pytest
@@ -6,12 +6,9 @@ import pytest
 from repro.cleaning.missing import (
     DUMMY,
     delete_missing_pandas,
-    delete_missing_spark,
     detect_missing_pandas,
     fit_impute_stats,
-    fit_impute_stats_spark,
     impute_pandas,
-    impute_spark,
     split_repair,
 )
 from repro.cleaning.registry import MISSING_IMPUTATIONS
@@ -112,52 +109,22 @@ class TestImputeSemantics:
         assert out.a[0] == pytest.approx(np.nanmedian(dirty.a))
 
 
-class TestSparkTwin:
-    def test_stats_match_pandas(self, spark, dirty):
-        s_pd = fit_impute_stats(dirty, ["a", "b"], ["c"])
-        s_sp = fit_impute_stats_spark(spark.createDataFrame(dirty), ["a", "b"], ["c"])
-        assert s_sp.num_mean["a"] == pytest.approx(s_pd.num_mean["a"])
-        assert s_sp.num_median["b"] == pytest.approx(s_pd.num_median["b"])
-        assert s_sp.cat_mode["c"] == s_pd.cat_mode["c"]
-
-    def test_impute_matches_pandas(self, spark, dirty):
-        s = fit_impute_stats(dirty, ["a", "b"], ["c"])
-        got = impute_spark(
-            spark.createDataFrame(dirty), s, numeric=["a", "b"], categorical=["c"],
-            num_method="mean", cat_method="dummy",
-        ).toPandas()
-        want = impute_pandas(
-            dirty, s, numeric=["a", "b"], categorical=["c"],
-            num_method="mean", cat_method="dummy",
-        )
-        pd.testing.assert_frame_equal(
-            got.sort_values(["a", "b"]).reset_index(drop=True),
-            want.sort_values(["a", "b"]).reset_index(drop=True),
-            check_dtype=False,
-        )
-
-    def test_delete_matches_pandas(self, spark, dirty):
-        got = delete_missing_spark(
-            spark.createDataFrame(dirty), ["a", "b", "c"]
-        ).toPandas()
-        want = delete_missing_pandas(dirty, ["a", "b", "c"])
-        assert len(got) == len(want)
-
-    def test_impute_against_oracle(self, spark, dirty):
-        """Spark mean imputation must equal DuckDB's COALESCE+AVG SQL."""
+class TestOracle:
+    def test_impute_against_oracle(self, dirty):
+        """Mean imputation must equal DuckDB's COALESCE+AVG SQL."""
         s = fit_impute_stats(dirty, ["a"], [])
-        out = impute_spark(
-            spark.createDataFrame(dirty[["a"]]), s, numeric=["a"], categorical=[],
+        out = impute_pandas(
+            dirty[["a"]], s, numeric=["a"], categorical=[],
             num_method="mean", cat_method="mode",
-        ).select("a")
+        )
         assert_equivalent(
             out,
             "SELECT COALESCE(a, (SELECT AVG(a) FROM t)) AS a FROM t",
             t=dirty[["a"]],
         )
 
-    def test_delete_against_oracle(self, spark, dirty):
-        out = delete_missing_spark(spark.createDataFrame(dirty[["a", "b"]]), ["a", "b"])
+    def test_delete_against_oracle(self, dirty):
+        out = delete_missing_pandas(dirty[["a", "b"]], ["a", "b"])
         assert_equivalent(
             out,
             "SELECT a, b FROM t WHERE a IS NOT NULL AND b IS NOT NULL",

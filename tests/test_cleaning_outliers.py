@@ -1,4 +1,5 @@
-"""Outlier cleaning: SD/IQR/IF detection, repairs, Spark twins, oracle."""
+"""Outlier cleaning: SD/IQR/IF detection, repairs, DuckDB oracle, and
+the cleaning gain on EEG."""
 import numpy as np
 import pandas as pd
 import pytest
@@ -8,10 +9,13 @@ from repro.cleaning.outliers import (
     detect_cells_pandas,
     detect_rows_pandas,
     fit_outlier_stats,
-    fit_outlier_stats_spark,
     repair_pandas,
-    repair_spark,
 )
+from repro.core.runner import split_frame
+from repro.datasets.registry import load_dataset, spec_for
+from repro.ml.features import Featurizer
+from repro.ml.metrics import accuracy
+from repro.ml.models import make_model
 from repro.oracle import assert_equivalent
 
 
@@ -137,54 +141,45 @@ class TestRepairs:
         assert out.a[1] == pytest.approx(s.fill_mean["a"])
 
 
-class TestSparkTwin:
-    @pytest.mark.parametrize("detect", ["SD", "IQR"])
-    def test_bounds_match_pandas(self, spark, frame, detect):
-        s_pd = fit_outlier_stats(frame, ["a", "b"], detect)
-        s_sp = fit_outlier_stats_spark(spark.createDataFrame(frame), ["a", "b"], detect)
-        for c in ("a", "b"):
-            assert s_sp.bounds[c][0] == pytest.approx(s_pd.bounds[c][0])
-            assert s_sp.bounds[c][1] == pytest.approx(s_pd.bounds[c][1])
-            assert s_sp.fill_mean[c] == pytest.approx(s_pd.fill_mean[c])
-            assert s_sp.fill_median[c] == pytest.approx(s_pd.fill_median[c])
-
-    def test_repair_matches_pandas(self, spark, frame):
-        s = fit_outlier_stats(frame, ["a"], "IQR")
-        got = (
-            repair_spark(spark.createDataFrame(frame), s, "impute_mean")
-            .toPandas()
-            .sort_values(["a", "b"])
-            .reset_index(drop=True)
-        )
-        want = (
-            repair_pandas(frame, s, "impute_mean")
-            .sort_values(["a", "b"])
-            .reset_index(drop=True)
-        )
-        pd.testing.assert_frame_equal(got, want, check_dtype=False)
-
-    def test_delete_against_oracle(self, spark, frame):
+class TestOracle:
+    def test_delete_against_oracle(self, frame):
         s = fit_outlier_stats(frame, ["a"], "SD")
         lo, hi = s.bounds["a"]
-        out = repair_spark(spark.createDataFrame(frame[["a"]]), s, "delete")
+        out = repair_pandas(frame[["a"]], s, "delete")
         assert_equivalent(
             out,
             f"SELECT a FROM t WHERE a >= {lo} AND a <= {hi}",
             t=frame[["a"]],
         )
 
-    def test_impute_against_oracle(self, spark, frame):
+    def test_impute_against_oracle(self, frame):
         s = fit_outlier_stats(frame, ["a"], "IQR")
         lo, hi = s.bounds["a"]
         fill = s.fill_mean["a"]
-        out = repair_spark(spark.createDataFrame(frame[["a"]]), s, "impute_mean")
+        out = repair_pandas(frame[["a"]], s, "impute_mean")
         assert_equivalent(
             out,
             f"SELECT CASE WHEN a < {lo} OR a > {hi} THEN {fill} ELSE a END AS a FROM t",
             t=frame[["a"]],
         )
 
-    def test_if_spark_raises(self, spark, frame):
-        s = fit_outlier_stats(frame, ["a", "b"], "IF", seed=0)
-        with pytest.raises(NotImplementedError):
-            repair_spark(spark.createDataFrame(frame), s, "delete")
+
+class TestCleaningGain:
+    def test_iqr_impute_mean_raises_lr_accuracy_on_eeg(self):
+        """On EEG split 11, IQR + impute_mean beats dirty training for
+        logistic regression, both scored on the cleaned test set."""
+        spec = spec_for("EEG")
+        train, test = split_frame(load_dataset("EEG"), 11, 0.3)
+        stats = fit_outlier_stats(train, list(spec.numeric), "IQR")
+        train_c = repair_pandas(train, stats, "impute_mean")
+        test_c = repair_pandas(test, stats, "impute_mean")
+        yt = test_c[spec.label].to_numpy()
+
+        def score(fit_frame):
+            feat = Featurizer(numeric=list(spec.numeric)).fit(fit_frame)
+            model = make_model("logistic_regression").fit(
+                feat.transform(fit_frame), fit_frame[spec.label].to_numpy()
+            )
+            return accuracy(yt, model.predict(feat.transform(test_c)))
+
+        assert score(train_c) > score(train)

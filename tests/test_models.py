@@ -69,6 +69,17 @@ class TestEveryModel:
         p2 = make_model(name, seed=5).fit(X, y).predict(Xt)
         assert np.array_equal(p1, p2)
 
+    def test_empty_test_set(self, name, separable):
+        """Outlier deletion can empty a test variant: predict returns an
+        empty vector and both metrics read 0.0."""
+        X, y, _, _ = separable
+        empty = np.empty((0, X.shape[1]))
+        pred = make_model(name).fit(X, y).predict(empty)
+        assert pred.shape == (0,)
+        no_labels = np.empty(0, dtype=np.int64)
+        assert accuracy(no_labels, pred) == 0.0
+        assert f1_binary(no_labels, pred) == 0.0
+
 
 class TestModelSpecifics:
     def test_logreg_coefficients_recover_signal(self, separable):

@@ -1,10 +1,14 @@
 """Tests for the work-unit runner: splits, version building, execution."""
 import dataclasses
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pandas as pd
 import pytest
 
+import repro
 from repro.cleaning.mislabels import TRUE_LABEL
 from repro.core.protocol import SMOKE, Protocol
 from repro.core.runner import build_versions, run_unit, split_frame
@@ -14,6 +18,23 @@ from repro.datasets import load_dataset, spec_for
 TINY = dataclasses.replace(
     SMOKE, models=("naive_bayes",), search_seeds=(8006,), n_candidates=1
 )
+
+
+class TestImportBoundary:
+    def test_import_loads_no_pyspark(self):
+        """A work unit is pure pandas/NumPy: importing the runner must not
+        load pyspark (a Spark twin in the per-unit path would)."""
+        probe = (
+            "import sys, repro.core.runner; "
+            "print(sorted(m for m in sys.modules if m.startswith('pyspark')))"
+        )
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, check=True,
+        )
+        assert out.stdout.strip() == "[]"
 
 
 class TestSplit:
