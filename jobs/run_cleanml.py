@@ -7,8 +7,9 @@ Writes ``results/results.parquet`` (the long per-fit results
 DataFrame), ``results/R{1,2,3}.csv`` (the flagged relations), and
 prints flag counts. `jobs/table15.py` turns the CSVs into the Table 15
 report. The parquet is a local output: it is not committed (see
-``.gitignore``) and nothing in the repository reads it; the committed
-record of a run is the CSVs and ``PROTOCOL.txt``.
+``.gitignore``), and it is read back once after writing, which raises
+unless it holds as many rows as were written; the committed record of a
+run is the CSVs and ``PROTOCOL.txt``.
 """
 import argparse
 import os
@@ -28,8 +29,12 @@ def main(spark, protocol_name: str, out_dir: str, errors=None) -> dict:
     os.makedirs(out_dir, exist_ok=True)
 
     results = run_grid(spark, protocol, error_types).cache()
-    results.write.mode("overwrite").parquet(os.path.join(out_dir, "results.parquet"))
-    print(f"results: {results.count()} rows")
+    path = os.path.join(out_dir, "results.parquet")
+    results.write.mode("overwrite").parquet(path)
+    n_rows, n_read = results.count(), spark.read.parquet(path).count()
+    if n_read != n_rows:
+        raise RuntimeError(f"{path}: read back {n_read} rows, wrote {n_rows}")
+    print(f"results: {n_rows} rows")
 
     relations = build_relations(results, alpha=protocol.alpha)
     for name, pdf in relations.items():

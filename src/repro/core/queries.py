@@ -1,55 +1,20 @@
-"""The CleanML analysis queries Q1-Q5 (paper §2.2), as Spark SQL.
+"""The CleanML analysis queries Q1-Q5 (paper §2.2).
 
-Each query groups a relation's flags by one attribute for one error
-type. The relations produced by :mod:`repro.core.relations` are
-registered as temp views; tests check every query against the DuckDB
-oracle with the paper's literal SQL.
+Each query counts one error type's flags in a relation per value of one
+attribute. `QUERIES` holds the paper's SQL as the specification;
+`flag_counts` computes the same counts in pandas over a relation (at
+most a few thousand specs), and the tests and the benchmark run the SQL
+in DuckDB as its oracle.
 """
 from __future__ import annotations
 
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
-# Paper query templates, verbatim modulo column-name spelling.
-Q1 = """
-    SELECT flag, COUNT(*) AS n
-    FROM {rel} WHERE error_type = '{e}'
-    GROUP BY flag
-"""
-Q2 = """
-    SELECT scenario, flag, COUNT(*) AS n
-    FROM {rel} WHERE error_type = '{e}'
-    GROUP BY scenario, flag
-"""
-Q3 = """
-    SELECT model, flag, COUNT(*) AS n
-    FROM {rel} WHERE error_type = '{e}'
-    GROUP BY model, flag
-"""
-Q4_DETECT = """
-    SELECT detect, flag, COUNT(*) AS n
-    FROM {rel} WHERE error_type = '{e}'
-    GROUP BY detect, flag
-"""
-Q4_REPAIR = """
-    SELECT repair, flag, COUNT(*) AS n
-    FROM {rel} WHERE error_type = '{e}'
-    GROUP BY repair, flag
-"""
-Q5 = """
-    SELECT dataset, flag, COUNT(*) AS n
-    FROM {rel} WHERE error_type = '{e}'
-    GROUP BY dataset, flag
-"""
+from repro.cleaning.registry import methods_for
+from repro.core.schema import scenarios_for
 
-QUERIES = {
-    "Q1": Q1,
-    "Q2": Q2,
-    "Q3": Q3,
-    "Q4.1": Q4_DETECT,
-    "Q4.2": Q4_REPAIR,
-    "Q5": Q5,
-}
+FLAGS = ("P", "S", "N")
 
 _GROUP_ATTR = {
     "Q1": None,
@@ -58,6 +23,18 @@ _GROUP_ATTR = {
     "Q4.1": "detect",
     "Q4.2": "repair",
     "Q5": "dataset",
+}
+
+# Paper query template, verbatim modulo column-name spelling.
+_TEMPLATE = """
+    SELECT {cols}flag, COUNT(*) AS n
+    FROM {{rel}} WHERE error_type = '{{e}}'
+    GROUP BY {cols}flag
+"""
+
+QUERIES = {
+    q: _TEMPLATE.format(cols=f"{attr}, " if attr else "")
+    for q, attr in _GROUP_ATTR.items()
 }
 
 
@@ -73,62 +50,30 @@ def register_relations(
     return out
 
 
-def run_query(
-    spark: SparkSession, query: str, relation: str, error_type: str
-) -> DataFrame:
-    """Run one of Q1-Q5 ('Q1', 'Q2', 'Q3', 'Q4.1', 'Q4.2', 'Q5')."""
-    sql = QUERIES[query].format(rel=relation, e=error_type)
-    return spark.sql(sql)
-
-
 def applicable(query: str, relation: str, error_type: str) -> bool:
-    """Paper applicability rules: Q3 only for R1; Q4 not for R3 and not
-    for single-method error types; Q2 not for missing values (BD only)."""
-    if query == "Q3" and relation != "R1":
-        return False
+    """Paper applicability rules: Q3 (per model) only for R1, the one
+    relation that keeps the model; Q4 (per detect / repair method) not
+    for R3, which keeps no method, and only where Table 2 gives the
+    error type more than one; Q2 only where it has more than one scenario."""
+    if query == "Q3":
+        return relation == "R1"
     if query in ("Q4.1", "Q4.2"):
-        if relation == "R3":
-            return False
-        if error_type in ("inconsistencies", "duplicates", "mislabels"):
-            return False
-        if query == "Q4.1" and error_type == "missing_values":
-            return False
-    if query == "Q2" and error_type == "missing_values":
-        return False
+        attr = _GROUP_ATTR[query]
+        methods = {getattr(m, attr) for m in methods_for(error_type)}
+        return relation != "R3" and len(methods) > 1
+    if query == "Q2":
+        return len(scenarios_for(error_type)) > 1
     return True
 
 
-def flag_shares(counts: pd.DataFrame, group_attr: str | None) -> pd.DataFrame:
-    """Turn flag counts into the paper's '% (n)' wide layout.
-
-    Rows = the grouping attribute's values (or a single row for Q1),
-    columns = P / S / N shares with counts.
-    """
-    pdf = counts.copy()
-    group_cols = [group_attr] if group_attr else []
-    totals = (
-        pdf.groupby(group_cols)["n"].transform("sum")
-        if group_cols
-        else pd.Series(pdf["n"].sum(), index=pdf.index)
-    )
-    pdf["share"] = pdf["n"] / totals
-    idx = group_cols if group_cols else None
-    wide_n = pdf.pivot_table(
-        index=idx, columns="flag", values="n", aggfunc="sum", fill_value=0
-    ) if idx else pdf.set_index("flag")[["n"]].T
-    wide_s = pdf.pivot_table(
-        index=idx, columns="flag", values="share", aggfunc="sum", fill_value=0.0
-    ) if idx else pdf.set_index("flag")[["share"]].T
-    rows = []
-    index = wide_n.index if idx else ["all"]
-    for i, label in enumerate(index):
-        row = {"group": label}
-        for f in ("P", "S", "N"):
-            n = int(wide_n.iloc[i][f]) if f in wide_n.columns else 0
-            s = float(wide_s.iloc[i][f]) if f in wide_s.columns else 0.0
-            row[f] = f"{100 * s:.2f}% ({n})"
-        rows.append(row)
-    return pd.DataFrame(rows)
+def flag_counts(relation: pd.DataFrame, query: str, error_type: str) -> pd.DataFrame:
+    """What ``QUERIES[query]`` counts, as a table: one row per group value
+    (``'all'`` for Q1), one column per flag P/S/N; no rows when the
+    relation has no spec of ``error_type``."""
+    rows = relation[relation.error_type == error_type]
+    attr = _GROUP_ATTR[query]
+    group = rows[attr] if attr else pd.Series("all", index=rows.index)
+    return pd.crosstab(group, rows.flag).reindex(columns=list(FLAGS), fill_value=0)
 
 
 def group_attr(query: str) -> str | None:

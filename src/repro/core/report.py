@@ -1,8 +1,9 @@
 """Render benchmark outputs in the paper's table layouts.
 
 `table15_markdown` reproduces Table 15's structure: for each error
-type, the Q1-Q5 flag-share blocks over R1/R2/R3. Individual markdown
-helpers avoid a dependency on `tabulate`.
+type, the Q1-Q5 flag-share blocks over R1/R2/R3, counted in pandas by
+`queries.flag_counts` from one collect of each relation view. Individual
+markdown helpers avoid a dependency on `tabulate`.
 """
 from __future__ import annotations
 
@@ -10,13 +11,7 @@ import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro.cleaning.registry import ERROR_TYPES
-from repro.core.queries import (
-    QUERIES,
-    applicable,
-    flag_shares,
-    group_attr,
-    run_query,
-)
+from repro.core.queries import FLAGS, QUERIES, applicable, flag_counts
 
 RELATIONS = ("R1", "R2", "R3")
 
@@ -31,33 +26,30 @@ def markdown_table(pdf: pd.DataFrame) -> str:
     return "\n".join(lines)
 
 
-def query_block(
-    spark: SparkSession, query: str, error_type: str
-) -> pd.DataFrame | None:
-    """One Table 15 block: flag shares per relation for one query."""
-    frames = []
-    for rel in RELATIONS:
-        if not applicable(query, rel, error_type):
-            continue
-        counts = run_query(spark, query, rel, error_type).toPandas()
-        if counts.empty:
-            continue
-        shares = flag_shares(counts, group_attr(query))
-        shares.insert(0, "R", rel)
-        frames.append(shares)
-    if not frames:
-        return None
-    return pd.concat(frames, ignore_index=True)
+def share_rows(relation: str, counts: pd.DataFrame) -> list[list]:
+    """One relation's rows of a Table 15 block: relation, group, then each
+    flag as '% (n)', the share of the group's specs with that flag."""
+    shares = counts.div(counts.sum(axis=1), axis=0)
+    return [
+        [relation, group]
+        + [f"{100 * s:.2f}% ({n})" for n, s in zip(counts.loc[group], shares.loc[group])]
+        for group in counts.index
+    ]
 
 
 def table15_markdown(spark: SparkSession, error_types=ERROR_TYPES) -> str:
     """The full Table 15 report over registered relation views."""
+    relations = {r: spark.table(r).toPandas() for r in RELATIONS}
     out = ["# Table 15 — Benchmark Results (organized by query)\n"]
     for e in error_types:
         for q in QUERIES:
-            block = query_block(spark, q, e)
-            if block is None:
-                continue
-            out.append(f"\n## {q} (E={e})\n")
-            out.append(markdown_table(block))
+            rows = [
+                row
+                for r in RELATIONS
+                if applicable(q, r, e)
+                for row in share_rows(r, flag_counts(relations[r], q, e))
+            ]
+            if rows:
+                out.append(f"\n## {q} (E={e})\n")
+                out.append(markdown_table(pd.DataFrame(rows, columns=["R", "group", *FLAGS])))
     return "\n".join(out) + "\n"

@@ -9,10 +9,13 @@ import pytest
 
 from repro.core.harness import run_grid
 from repro.core.protocol import FULL
+from repro.core.queries import register_relations
 from repro.core.relations import _apply_by_and_flags, build_relations
+from repro.core.report import table15_markdown
 from repro.core.schema import R1_KEY, R2_KEY, R3_KEY
 
-RESULTS = Path(__file__).resolve().parents[1] / "results"
+ROOT = Path(__file__).resolve().parents[1]
+RESULTS = ROOT / "results"
 KEYS = {"R1": R1_KEY, "R2": R2_KEY, "R3": R3_KEY}
 RAW = ["mean_before", "mean_after", "mean_diff", "p_two", "p_upper", "p_lower"]
 TOL = 1e-12
@@ -57,3 +60,12 @@ def test_rerun_matches_committed(university, name):
     assert (m.n_pairs == m.n_pairs_ref).all()
     for col in RAW:
         np.testing.assert_allclose(m[col], m[f"{col}_ref"], rtol=0, atol=TOL, err_msg=col)
+
+
+def test_table15_reproduces_committed_report(spark):
+    """Table 15 rendered from the committed relations is the committed
+    report, byte for byte (`perfbench/checks.parse_table15` reads this
+    layout)."""
+    register_relations(spark, {name: _committed(name) for name in sorted(KEYS)})
+    md = table15_markdown(spark)
+    assert md.encode() == (ROOT / "reports" / "table15.md").read_bytes()

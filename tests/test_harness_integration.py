@@ -1,13 +1,17 @@
 """Integration test: the full Spark dataflow (grid -> mapInPandas ->
 relations -> queries -> report) at smoke scale."""
 import dataclasses
+import importlib.util
+from pathlib import Path
 
+import pandas as pd
+import pyarrow.parquet as pq
 import pytest
 from pyspark.sql import functions as F
 
 from repro.core.harness import build_grid, run_grid
 from repro.core.protocol import SMOKE
-from repro.core.queries import register_relations, run_query
+from repro.core.queries import flag_counts, register_relations
 from repro.core.relations import build_relations
 from repro.core.report import markdown_table, table15_markdown
 
@@ -65,8 +69,6 @@ class TestResults:
 
     def test_distributed_execution_matches_local(self, results, spark):
         """One unit re-run locally must equal the Spark-produced rows."""
-        import pandas as pd
-
         from repro.core.runner import run_unit
 
         local = run_unit("University", "inconsistencies", PROTO.split_seed0, PROTO)
@@ -97,10 +99,44 @@ class TestRelationsEndToEnd:
     def test_queries_and_report(self, results, spark):
         rel = build_relations(results)
         register_relations(spark, rel)
-        q1 = run_query(spark, "Q1", "R1", "inconsistencies").toPandas()
-        assert q1.n.sum() == 12
+        assert flag_counts(rel["R1"], "Q1", "inconsistencies").to_numpy().sum() == 12
         md = table15_markdown(spark, error_types=("inconsistencies",))
         assert "Q1 (E=inconsistencies)" in md
         assert "| R |" in markdown_table(
-            __import__("pandas").DataFrame({"R": ["R1"]})
+            pd.DataFrame({"R": ["R1"]})
         )
+
+
+def _run_cleanml():
+    path = Path(__file__).resolve().parents[1] / "jobs" / "run_cleanml.py"
+    spec = importlib.util.spec_from_file_location("run_cleanml", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestRunCleanmlJob:
+    def test_writes_readable_outputs(self, spark, tmp_path):
+        relations = _run_cleanml().main(spark, "smoke", str(tmp_path), errors=("inconsistencies",))
+        # pyarrow reads the parquet apart from Spark: 4 datasets x 4 splits
+        # x 2 versions x 3 models x 1 seed x 2 variants.
+        table = pq.read_table(tmp_path / "results.parquet")
+        assert table.num_rows == 4 * SMOKE.n_splits * 2 * 3 * 1 * 2
+        assert set(table.column("error_type").to_pylist()) == {"inconsistencies"}
+        # R1: 4 datasets x 1 method x 3 models x 2 scenarios.
+        assert len(relations["R1"]) == 24
+        for name, pdf in relations.items():
+            csv = pd.read_csv(tmp_path / f"{name}.csv", float_precision="round_trip")
+            pd.testing.assert_frame_equal(csv, pdf.reset_index(drop=True), check_dtype=False)
+        assert (tmp_path / "PROTOCOL.txt").read_text() == repr(SMOKE) + "\n"
+
+    def test_short_read_back_raises(self, spark, tmp_path, monkeypatch):
+        from pyspark.sql.readwriter import DataFrameReader
+
+        import repro.core.harness as harness
+
+        read = DataFrameReader.parquet
+        monkeypatch.setattr(harness, "run_grid", lambda spark, protocol, errors: spark.range(3))
+        monkeypatch.setattr(DataFrameReader, "parquet", lambda self, path: read(self, path).limit(2))
+        with pytest.raises(RuntimeError, match="read back 2 rows, wrote 3"):
+            _run_cleanml().main(spark, "smoke", str(tmp_path), errors=("inconsistencies",))

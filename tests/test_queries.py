@@ -1,22 +1,17 @@
-"""Q1-Q5 query tests: Spark SQL results checked against the DuckDB
-oracle with the paper's literal SQL, plus share-formatting tests."""
+"""Q1-Q5 query tests: `flag_counts` (pandas) checked against the DuckDB
+oracle running the paper's literal SQL, plus share-formatting tests."""
 import pandas as pd
 import pytest
 
-from repro.core.queries import (
-    QUERIES,
-    applicable,
-    flag_shares,
-    group_attr,
-    register_relations,
-    run_query,
-)
+from repro.cleaning.registry import ERROR_TYPES
+from repro.core.queries import QUERIES, applicable, flag_counts, group_attr
+from repro.core.report import share_rows
 from repro.oracle import assert_equivalent
 
 
 @pytest.fixture(scope="module")
-def relation(spark):
-    """A small synthetic flagged relation registered as R1."""
+def relation():
+    """A small synthetic flagged relation."""
     rows = []
     flags = ["P", "P", "S", "N", "S", "S", "P", "S"]
     for i, flag in enumerate(flags):
@@ -42,39 +37,46 @@ def relation(spark):
             "flag": "P",
         }
     )
-    pdf = pd.DataFrame(rows)
-    register_relations(spark, {"R1": pdf})
-    return pdf
+    return pd.DataFrame(rows)
 
 
 class TestQueriesAgainstOracle:
-    """Each Spark SQL query must equal DuckDB running the same SQL."""
+    """flag_counts must count what DuckDB counts running the paper's SQL."""
 
     @pytest.mark.parametrize("q", ["Q1", "Q2", "Q3", "Q4.1", "Q4.2", "Q5"])
-    def test_matches_duckdb(self, spark, relation, q):
-        sql = QUERIES[q].format(rel="R1", e="outliers")
-        got = run_query(spark, q, "R1", "outliers")
-        assert_equivalent(got, sql.replace("R1", "t"), t=relation)
+    def test_matches_duckdb(self, relation, q):
+        attr = group_attr(q)
+        for e in ("outliers", "missing_values"):
+            counts = flag_counts(relation, q, e)
+            long = counts.rename_axis(index=attr or "all", columns="flag").stack()
+            long = long[long > 0].rename("n").reset_index()
+            got = long[[attr, "flag", "n"] if attr else ["flag", "n"]]
+            assert_equivalent(got, QUERIES[q].format(rel="R1", e=e), R1=relation)
 
 
 class TestQuerySemantics:
-    def test_q1_counts(self, spark, relation):
-        out = run_query(spark, "Q1", "R1", "outliers").toPandas()
-        counts = dict(zip(out.flag, out.n))
-        assert counts == {"P": 3, "S": 4, "N": 1}
+    def test_q1_counts(self, relation):
+        out = flag_counts(relation, "Q1", "outliers")
+        assert out.loc["all"].to_dict() == {"P": 3, "S": 4, "N": 1}
 
-    def test_q1_filters_error_type(self, spark, relation):
-        out = run_query(spark, "Q1", "R1", "missing_values").toPandas()
-        assert out.n.sum() == 1
+    def test_q1_filters_error_type(self, relation):
+        out = flag_counts(relation, "Q1", "missing_values")
+        assert out.to_numpy().sum() == 1
 
-    def test_q2_groups_by_scenario(self, spark, relation):
-        out = run_query(spark, "Q2", "R1", "outliers").toPandas()
-        assert set(out.scenario) == {"BD", "CD"}
-        assert out.n.sum() == 8
+    def test_q2_groups_by_scenario(self, relation):
+        out = flag_counts(relation, "Q2", "outliers")
+        assert set(out.index) == {"BD", "CD"}
+        assert out.to_numpy().sum() == 8
 
-    def test_q5_groups_by_dataset(self, spark, relation):
-        out = run_query(spark, "Q5", "R1", "outliers").toPandas()
-        assert set(out.dataset) == {"EEG", "Sensor"}
+    def test_q5_groups_by_dataset(self, relation):
+        out = flag_counts(relation, "Q5", "outliers")
+        assert set(out.index) == {"EEG", "Sensor"}
+
+    def test_absent_error_type_has_no_rows(self, relation):
+        out = flag_counts(relation, "Q5", "duplicates")
+        assert out.empty
+        assert list(out.columns) == ["P", "S", "N"]
+        assert share_rows("R1", out) == []
 
 
 class TestApplicability:
@@ -99,26 +101,42 @@ class TestApplicability:
             for e in ("outliers", "missing_values", "duplicates"):
                 assert applicable("Q1", rel, e)
 
+    def test_matches_paper_rules_on_every_triple(self):
+        """The rules derived from the registry give the paper's table of
+        which blocks exist: Q4 not for single-method error types nor
+        Q4.1 for missing values (one detector), Q2 not for missing values."""
+
+        def paper(q, rel, e):
+            if q == "Q3":
+                return rel == "R1"
+            if q in ("Q4.1", "Q4.2"):
+                single = e in ("inconsistencies", "duplicates", "mislabels")
+                return rel != "R3" and not single and not (q == "Q4.1" and e == "missing_values")
+            return not (q == "Q2" and e == "missing_values")
+
+        for q in QUERIES:
+            for rel in ("R1", "R2", "R3"):
+                for e in ERROR_TYPES:
+                    assert applicable(q, rel, e) == paper(q, rel, e), (q, rel, e)
+
+
+def _flagged(groups_and_flags):
+    return pd.DataFrame(
+        [{"error_type": "outliers", "scenario": g, "flag": f} for g, f in groups_and_flags]
+    )
+
 
 class TestFlagShares:
     def test_q1_shape(self):
-        counts = pd.DataFrame({"flag": ["P", "S"], "n": [1, 3]})
-        out = flag_shares(counts, None)
-        assert out.P.iloc[0] == "25.00% (1)"
-        assert out.S.iloc[0] == "75.00% (3)"
-        assert out.N.iloc[0] == "0.00% (0)"
+        counts = flag_counts(_flagged([("BD", "P"), ("BD", "S"), ("CD", "S"), ("CD", "S")]), "Q1", "outliers")
+        assert share_rows("R2", counts) == [["R2", "all", "25.00% (1)", "75.00% (3)", "0.00% (0)"]]
 
     def test_grouped_shares_sum_to_100(self):
-        counts = pd.DataFrame(
-            {
-                "scenario": ["BD", "BD", "CD"],
-                "flag": ["P", "S", "N"],
-                "n": [1, 1, 2],
-            }
-        )
-        out = flag_shares(counts, "scenario")
-        assert out[out.group == "BD"].P.iloc[0] == "50.00% (1)"
-        assert out[out.group == "CD"].N.iloc[0] == "100.00% (2)"
+        counts = flag_counts(_flagged([("BD", "P"), ("BD", "S"), ("CD", "N"), ("CD", "N")]), "Q2", "outliers")
+        assert share_rows("R1", counts) == [
+            ["R1", "BD", "50.00% (1)", "50.00% (1)", "0.00% (0)"],
+            ["R1", "CD", "0.00% (0)", "0.00% (0)", "100.00% (2)"],
+        ]
 
     def test_group_attr_mapping(self):
         assert group_attr("Q1") is None
