@@ -54,7 +54,12 @@ def run_grid(
         for pdf in batches:
             for i in pdf["id"]:
                 u = units.iloc[i]
-                yield run_unit(u.dataset, u.error_type, int(u.split_seed), protocol)
+                try:
+                    out = run_unit(u.dataset, u.error_type, int(u.split_seed), protocol)
+                except Exception as exc:
+                    unit = f"{u.dataset}/{u.error_type}/{u.split_seed}"
+                    raise RuntimeError(f"unit {unit} failed") from exc
+                yield out
 
     # One partition per unit, so no task runs two expensive units in a
     # row while other slots idle. The ids come from the JVM: a Python

@@ -22,7 +22,7 @@ from __future__ import annotations
 from collections.abc import Callable
 
 import pandas as pd
-from pyspark.sql import Column, DataFrame, Window
+from pyspark.sql import DataFrame, Window
 from pyspark.sql import functions as F
 
 from repro.core.schema import DELETE_BASELINE, DIRTY, R1_KEY, R2_KEY, R3_KEY
@@ -30,13 +30,6 @@ from repro.stats import by_adjust, decide_flag, ttest_from_moments
 
 # Identifies a cleaning method's training version within a dataset.
 _METHOD = ["dataset", "error_type", "detect", "repair", "train_version"]
-
-
-def _baseline() -> Column:
-    """The 'before' training version of each row's error type."""
-    return F.when(
-        F.col("error_type") == "missing_values", F.lit(DELETE_BASELINE)
-    ).otherwise(F.lit(DIRTY))
 
 
 def _seed_average(rows: DataFrame, by: list[str]) -> DataFrame:
@@ -63,14 +56,17 @@ def _pairs(
     BD: before = baseline-trained model on the cleaned test variant,
         after = clean-trained model on the same variant.
     CD: before = clean-trained model on the dirty test set,
-        after = the same model on its cleaned test variant.
+        after = the same model on its cleaned test variant; only where
+        the results hold a dirty test variant (none for missing values).
 
     ``reduce(rows, by)`` collapses the random-search fits of each ``by``
     group to one row with its test_metric and val_metric. ``per_model``
     is ``["model"]`` to pair each model with itself, or ``[]`` to let
     ``reduce`` choose among the models on each side.
     """
-    method = results.where(F.col("train_version") != _baseline())
+    # No cleaning method's label is a baseline label (a test pins it).
+    baseline = F.col("train_version").isin(DIRTY, DELETE_BASELINE)
+    method = results.where(~baseline)
     by = [*_METHOD, *per_model, "split_seed"]
     after = reduce(method.where(F.col("test_variant") == F.col("train_version")), by).select(
         *by,
@@ -80,9 +76,7 @@ def _pairs(
 
     bd_by = ["dataset", "error_type", *per_model, "split_seed"]
     before_bd = reduce(
-        results.where(F.col("train_version") == _baseline()).where(
-            F.col("test_variant") != DIRTY
-        ),
+        results.where(baseline & (F.col("test_variant") != DIRTY)),
         [*bd_by, "test_variant"],
     ).select(
         *bd_by,
@@ -96,11 +90,7 @@ def _pairs(
     before_cd = reduce(method.where(F.col("test_variant") == DIRTY), by).select(
         *by, F.col("test_metric").alias("before_metric")
     )
-    cd = (
-        after.join(before_cd, on=by)
-        .withColumn("scenario", F.lit("CD"))
-        .where(F.col("error_type") != "missing_values")
-    )
+    cd = after.join(before_cd, on=by).withColumn("scenario", F.lit("CD"))
     cols = [*_METHOD, *per_model, "scenario", "split_seed",
             "before_metric", "after_metric", "after_val"]
     return bd.select(*cols).unionByName(cd.select(*cols))

@@ -18,18 +18,10 @@ import zlib
 import numpy as np
 import pandas as pd
 
-from repro.cleaning import inconsistencies as inc
-from repro.cleaning import mislabels as mis
-from repro.cleaning import missing as mv
-from repro.cleaning import outliers as out
-from repro.cleaning.duplicates import dedup_pandas
-from repro.cleaning.registry import (
-    MISSING_IMPUTATIONS,
-    OUTLIER_DETECTORS,
-    OUTLIER_REPAIRS,
-)
+from repro.cleaning.missing import delete_missing_pandas
+from repro.cleaning.registry import fit_cleaners, methods_for
 from repro.core.protocol import Protocol
-from repro.core.schema import DELETE_BASELINE, DIRTY, RESULT_COLUMNS
+from repro.core.schema import BASELINE_METHODS, DIRTY, RESULT_COLUMNS, baseline_for, scenarios_for
 from repro.datasets.base import DatasetSpec
 from repro.datasets.registry import load_dataset, spec_for
 from repro.ml.features import Featurizer, downsample_majority
@@ -49,26 +41,6 @@ def split_frame(pdf: pd.DataFrame, seed: int, test_frac: float):
     return train, test
 
 
-def _method_meta(error_type: str, version: str) -> tuple[str, str]:
-    """Map a version label to its (detect, repair) attributes."""
-    if version == DIRTY:
-        return ("none", "none")
-    if error_type == "missing_values":
-        if version == DELETE_BASELINE:
-            return ("empty_entry", "delete")
-        return ("empty_entry", version)
-    if error_type == "outliers":
-        det, rep = version.split(":", 1)
-        return (det, rep)
-    if error_type == "duplicates":
-        return ("key_collision", "delete")
-    if error_type == "inconsistencies":
-        return ("openrefine_fingerprint", "merge")
-    if error_type == "mislabels":
-        return ("ground_truth", "flip")
-    raise KeyError(error_type)
-
-
 def build_versions(
     spec: DatasetSpec,
     error_type: str,
@@ -80,57 +52,21 @@ def build_versions(
     """All cleaned training versions and test variants for one split.
 
     Returns ``(train_versions, test_variants)``, both dicts keyed by
-    version label. Cleaning statistics are fitted on the dirty training
-    set only and reused for the test set (§4.1 step 2, no leakage).
+    version label: the baseline training version, a dirty test variant
+    where scenario CD applies, and one of each per cleaning method.
+    Cleaning statistics are fitted on the dirty training set only and
+    reused for the test set (§4.1 step 2, no leakage).
     """
-    feats = list(spec.feature_cols)
-    numeric = list(spec.numeric)
-    train_versions: dict[str, pd.DataFrame] = {}
-    test_variants: dict[str, pd.DataFrame] = {}
-    if error_type == "missing_values":
-        stats = mv.fit_impute_stats(train, numeric, list(spec.categorical))
-        train_versions[DELETE_BASELINE] = mv.delete_missing_pandas(train, feats)
-        for rep in MISSING_IMPUTATIONS:
-            num_m, cat_m = mv.split_repair(rep)
-            kw = dict(
-                numeric=numeric,
-                categorical=list(spec.categorical),
-                num_method=num_m,
-                cat_method=cat_m,
-            )
-            train_versions[rep] = mv.impute_pandas(train, stats, **kw)
-            test_variants[rep] = mv.impute_pandas(test, stats, **kw)
-    elif error_type == "outliers":
-        train_versions[DIRTY] = train
-        test_variants[DIRTY] = test
-        for det in OUTLIER_DETECTORS:
-            stats = out.fit_outlier_stats(train, numeric, det, seed=seed)
-            for rep in OUTLIER_REPAIRS:
-                name = f"{det}:{rep}"
-                train_versions[name] = out.repair_pandas(train, stats, rep)
-                test_variants[name] = out.repair_pandas(test, stats, rep)
-    elif error_type == "duplicates":
-        name = "key_collision:delete"
-        train_versions[DIRTY] = train
-        test_variants[DIRTY] = test
-        train_versions[name] = dedup_pandas(train, list(spec.key_cols))
-        test_variants[name] = dedup_pandas(test, list(spec.key_cols))
-    elif error_type == "inconsistencies":
-        name = "openrefine_fingerprint:merge"
-        stats = inc.fit_merge_stats(train, list(spec.inconsistent_cols))
-        train_versions[DIRTY] = train
-        test_variants[DIRTY] = test
-        cols = list(spec.inconsistent_cols)
-        train_versions[name] = inc.merge_pandas(train, stats, cols)
-        test_variants[name] = inc.merge_pandas(test, stats, cols)
-    elif error_type == "mislabels":
-        name = "ground_truth:flip"
-        train_versions[DIRTY] = train
-        test_variants[DIRTY] = test
-        train_versions[name] = mis.repair_mislabels_pandas(train, spec.label)
-        test_variants[name] = mis.repair_mislabels_pandas(test, spec.label)
-    else:
-        raise KeyError(f"unknown error type {error_type!r}")
+    baseline = baseline_for(error_type)
+    train_versions = {
+        baseline: train
+        if baseline == DIRTY
+        else delete_missing_pandas(train, list(spec.feature_cols))
+    }
+    test_variants = {DIRTY: test} if "CD" in scenarios_for(error_type) else {}
+    for method, clean in fit_cleaners(spec, error_type, train, seed=seed):
+        train_versions[method.label] = clean(train)
+        test_variants[method.label] = clean(test)
     return train_versions, test_variants
 
 
@@ -151,10 +87,11 @@ def run_unit(
     train_versions, test_variants = build_versions(
         spec, error_type, train, test, seed=_unit_seed(dataset, split_seed, "if")
     )
+    meta = BASELINE_METHODS | {m.label: (m.detect, m.repair) for m in methods_for(error_type)}
     metric = spec.metric
     rows: list[dict] = []
     for version, train_v in train_versions.items():
-        detect, repair = _method_meta(error_type, version)
+        detect, repair = meta[version]
         train_fit = train_v
         if spec.imbalanced:
             train_fit = downsample_majority(

@@ -12,6 +12,8 @@ SCENARIOS = ("BD", "CD")
 # The "before" training version per error type (Table 4 vs Table 5).
 DIRTY = "dirty"
 DELETE_BASELINE = "delete"
+# (detect, repair) recorded on each baseline training version's rows.
+BASELINE_METHODS = {DIRTY: ("none", "none"), DELETE_BASELINE: ("empty_entry", "delete")}
 
 
 def baseline_for(error_type: str) -> str:

@@ -55,12 +55,6 @@ class _Model:
             return np.full(X.shape[0], self._constant, dtype=np.int64)
         return (self._decision(X) > 0.5).astype(np.int64)
 
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        if self._constant is not None:
-            return np.full(X.shape[0], float(self._constant))
-        return self._decision(X)
-
 
 class LogisticRegression(_Model):
     """L2-regularized logistic regression fitted with IRLS (Newton)."""

@@ -57,6 +57,11 @@ class TestGrid:
         assert sorted(units.split_seed) == [100, 101, 102, 103]
         assert units.pid.is_unique
 
+    def test_failing_unit_is_named(self, spark):
+        proto = dataclasses.replace(SMOKE, n_splits=1, models=("nope",))
+        with pytest.raises(Exception, match="unit University/inconsistencies/100 failed"):
+            run_grid(spark, proto, ("inconsistencies",), ("University",))
+
 
 class TestResults:
     def test_expected_row_count(self, results):

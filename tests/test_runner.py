@@ -9,10 +9,18 @@ import pandas as pd
 import pytest
 
 import repro
+from repro.cleaning import inconsistencies, missing, outliers
 from repro.cleaning.mislabels import TRUE_LABEL
+from repro.cleaning.registry import ERROR_TYPES, methods_for
 from repro.core.protocol import SMOKE, Protocol
 from repro.core.runner import build_versions, run_unit, split_frame
-from repro.core.schema import RESULT_COLUMNS, baseline_for, scenarios_for
+from repro.core.schema import (
+    DELETE_BASELINE,
+    DIRTY,
+    RESULT_COLUMNS,
+    baseline_for,
+    scenarios_for,
+)
 from repro.datasets import load_dataset, spec_for
 
 TINY = dataclasses.replace(
@@ -118,6 +126,67 @@ class TestBuildVersions:
         spec = spec_for("EEG")
         with pytest.raises(KeyError):
             build_versions(spec, "typos", load_dataset("EEG"), load_dataset("EEG"))
+
+
+# One small dataset per error type.
+LAYOUT_DATASET = {
+    "missing_values": "Titanic",
+    "outliers": "Sensor",
+    "duplicates": "Citation",
+    "inconsistencies": "University",
+    "mislabels": "EEG_uniform",
+}
+
+
+def _versions(dataset, error):
+    train, test = split_frame(load_dataset(dataset), 3, 0.3)
+    return build_versions(spec_for(dataset), error, train, test, seed=0)
+
+
+class TestLayout:
+    """The registry's methods are the whole experiment layout: the
+    runner builds exactly their versions plus the schema's baseline."""
+
+    @pytest.mark.parametrize("error", ERROR_TYPES)
+    def test_versions_rows_and_labels(self, error):
+        methods = methods_for(error)
+        labels = {m.label for m in methods}
+        # The relations tell baseline rows from method rows by label.
+        assert not labels & {DIRTY, DELETE_BASELINE}
+        assert len(labels) == len(methods)
+
+        tv, xv = _versions(LAYOUT_DATASET[error], error)
+        assert set(tv) == {baseline_for(error)} | labels
+        dirty = {DIRTY} if "CD" in scenarios_for(error) else set()
+        assert set(xv) == labels | dirty
+
+        out = run_unit(LAYOUT_DATASET[error], error, 100, TINY)
+        baseline_pair = {"dirty": ("none", "none"), "delete": ("empty_entry", "delete")}
+        expected = {(m.label, m.detect, m.repair) for m in methods}
+        expected.add((baseline_for(error), *baseline_pair[baseline_for(error)]))
+        assert set(zip(out.train_version, out.detect, out.repair)) == expected
+
+    @pytest.mark.parametrize(
+        "error, module, fit, n_fits",
+        [
+            ("outliers", outliers, "fit_outlier_stats", 3),
+            ("missing_values", missing, "fit_impute_stats", 1),
+            ("inconsistencies", inconsistencies, "fit_merge_stats", 1),
+        ],
+    )
+    def test_fits_once_per_detector(self, monkeypatch, error, module, fit, n_fits):
+        """Repairs share their detector's fit: a fit per method would grow
+        the isolation forest four times per outliers unit."""
+        calls = []
+        real = getattr(module, fit)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, fit, counted)
+        _versions(LAYOUT_DATASET[error], error)
+        assert len(calls) == n_fits
 
 
 class TestRunUnit:
