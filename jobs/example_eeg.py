@@ -19,11 +19,12 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 def main(spark, n_splits: int = 8) -> dict:
     import dataclasses
 
+    import pandas as pd
+
+    from repro.core import relations
     from repro.core.harness import run_grid
     from repro.core.protocol import FULL
-    from repro.core.relations import build_pairs_r1, build_pairs_r2, build_pairs_r3
     from repro.core.report import markdown_table
-    from repro.stats import by_adjust, paired_ttest
 
     protocol = dataclasses.replace(FULL, n_splits=n_splits)
     print("## Table 6 — experiment specifications")
@@ -35,17 +36,11 @@ def main(spark, n_splits: int = 8) -> dict:
         spark, protocol, error_types=("outliers",), datasets=("EEG",)
     ).cache()
 
-    one_split = results.where(f"split_seed = {protocol.split_seed0}")
-    per_model = (
-        one_split.where("test_variant = train_version OR test_variant = 'dirty'")
-        .toPandas()
-    )
-    import pandas as pd
-
-    iqr_mean = per_model[
-        (per_model.train_version.isin(["dirty", "IQR:impute_mean"]))
-        & (per_model.test_variant == "IQR:impute_mean")
-    ]
+    iqr_mean = results.where(
+        f"split_seed = {protocol.split_seed0}"
+        " AND train_version IN ('dirty', 'IQR:impute_mean')"
+        " AND test_variant = 'IQR:impute_mean'"
+    ).toPandas()
     t78 = (
         iqr_mean.groupby(["model", "train_version"])
         .agg(val=("val_metric", "max"), test=("test_metric", "mean"))
@@ -57,7 +52,7 @@ def main(spark, n_splits: int = 8) -> dict:
           f"{protocol.split_seed0} (B = dirty-trained, D = clean-trained)")
     print(markdown_table(t78.reset_index().round(6)))
 
-    pairs_r2 = build_pairs_r2(results).cache()
+    pairs_r2 = relations.build_pairs_r2(results).cache()
     t9 = (
         pairs_r2.where(f"split_seed = {protocol.split_seed0} AND scenario = 'BD'")
         .toPandas()[["detect", "repair", "after_val", "before_metric", "after_metric"]]
@@ -67,24 +62,16 @@ def main(spark, n_splits: int = 8) -> dict:
           "clean-trained best model; best row becomes s3's pair)")
     print(markdown_table(t9.round(6)))
 
-    seeds = (
-        results.where(
-            f"split_seed = {protocol.split_seed0} AND model = 'logistic_regression'"
-            " AND train_version IN ('dirty', 'IQR:impute_mean')"
-            " AND test_variant = 'IQR:impute_mean'"
-        )
-        .toPandas()
-        .pivot_table(
-            index="search_seed",
-            columns="train_version",
-            values=["val_metric", "test_metric"],
-        )
+    seeds = iqr_mean[iqr_mean.model == "logistic_regression"].pivot_table(
+        index="search_seed",
+        columns="train_version",
+        values=["val_metric", "test_metric"],
     )
     seeds.columns = [f"{a}_{b}" for a, b in seeds.columns]
     print("\n## Tables 10-11 — aggregation over random-search seeds (s1 averages, s2 takes best-validation)")
     print(markdown_table(seeds.reset_index().round(6)))
 
-    pairs_r1 = build_pairs_r1(results)
+    pairs_r1 = relations.build_pairs_r1(results)
     s1 = pairs_r1.where(
         "model = 'logistic_regression' AND scenario = 'BD' "
         "AND detect = 'IQR' AND repair = 'impute_mean'"
@@ -92,29 +79,22 @@ def main(spark, n_splits: int = 8) -> dict:
     print("\n## Table 12 — per-split metric pairs for s1 (B, D)")
     print(markdown_table(s1[["split_seed", "before_metric", "after_metric"]].round(6)))
 
-    tt = paired_ttest(s1.before_metric, s1.after_metric)
+    # Tables 13-14: s1's row of R1, whose BY family is all EEG-outlier R1 specs.
+    r1 = relations.build_relations(results)["R1"]
+    row = r1[
+        (r1.model == "logistic_regression") & (r1.scenario == "BD")
+        & (r1.detect == "IQR") & (r1.repair == "impute_mean")
+    ].iloc[0]
+    tests = ["two-tailed", "upper-tailed", "lower-tailed"]
+    cols = ["p_two", "p_upper", "p_lower"]
     print("\n## Table 13 — raw p-values for s1")
-    print(markdown_table(pd.DataFrame(
-        {"test": ["two-tailed", "upper-tailed", "lower-tailed"],
-         "p": [tt.p_two, tt.p_upper, tt.p_lower]})))
-
-    # Table 14: BY correction in the context of all EEG-outlier R1 tests.
-    all_r1 = pairs_r1.toPandas()
-    rows = []
-    for key, grp in all_r1.groupby(["detect", "repair", "model", "scenario"]):
-        r = paired_ttest(grp.before_metric, grp.after_metric)
-        rows.append({"key": key, "p_two": r.p_two, "p_upper": r.p_upper, "p_lower": r.p_lower})
-    fam = pd.DataFrame(rows)
-    target = ("IQR", "impute_mean", "logistic_regression", "BD")
-    adj = {c: by_adjust(fam[c].to_numpy()) for c in ("p_two", "p_upper", "p_lower")}
-    i = fam.index[fam.key == target][0]
+    print(markdown_table(pd.DataFrame({"test": tests, "p": row[cols].tolist()})))
     print("\n## Table 14 — BY-corrected p-values for s1 "
-          f"(family = {len(fam)} EEG-outlier hypotheses)")
+          f"(family = {len(r1)} EEG-outlier hypotheses)")
     print(markdown_table(pd.DataFrame(
-        {"test": ["two-tailed", "upper-tailed", "lower-tailed"],
-         "corrected p": [adj["p_two"][i], adj["p_upper"][i], adj["p_lower"][i]]})))
+        {"test": tests, "corrected p": row[[f"{c}_adj" for c in cols]].tolist()})))
 
-    pairs_r3 = build_pairs_r3(pairs_r2)
+    pairs_r3 = relations.build_pairs_r3(pairs_r2)
     s3 = pairs_r3.where("scenario = 'BD'").toPandas()
     print("\n## s3 selected methods per split")
     print(markdown_table(

@@ -10,12 +10,41 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.ml.tree import Tree, _Builder, stack_trees, tree_apply
+
 
 def _c(n: float) -> float:
     """Average path length of an unsuccessful BST search over n points."""
     if n <= 1:
         return 0.0
     return 2.0 * (np.log(n - 1.0) + np.euler_gamma) - 2.0 * (n - 1.0) / n
+
+
+def _grow(X: np.ndarray, rng: np.random.Generator, limit: int) -> Tree:
+    """One isolation tree over the rows of ``X``, depth-first, left before
+    right. A leaf's value is its path length, depth + c(size). A row goes
+    left when its value is below the split; ``tree_apply`` goes left at
+    ``<=``, so the stored threshold is the float just below the split."""
+    out = _Builder(X)
+
+    def grow(idx: np.ndarray, depth: int) -> int:
+        if depth >= limit or idx.size <= 1:
+            return out.leaf(idx, depth + _c(idx.size))
+        f = int(rng.integers(0, X.shape[1]))
+        col = X[idx, f]
+        lo, hi = col.min(), col.max()
+        if lo == hi:
+            return out.leaf(idx, depth + _c(idx.size))
+        split = float(rng.uniform(lo, hi))
+        mask = col < split
+        node = out.node(0.0)
+        out.feat[node], out.thr[node] = f, np.nextafter(split, -np.inf)
+        out.left[node] = grow(idx[mask], depth + 1)
+        out.right[node] = grow(idx[~mask], depth + 1)
+        return node
+
+    grow(np.arange(X.shape[0]), 0)
+    return out.tree()
 
 
 class IsolationForest:
@@ -33,55 +62,26 @@ class IsolationForest:
         self.contamination = contamination
         self.seed = seed
 
-    def _build(self, X: np.ndarray, rng: np.random.Generator, depth: int, limit: int):
-        n = X.shape[0]
-        if depth >= limit or n <= 1:
-            return {"size": n}
-        f = int(rng.integers(0, X.shape[1]))
-        lo, hi = X[:, f].min(), X[:, f].max()
-        if lo == hi:
-            return {"size": n}
-        split = float(rng.uniform(lo, hi))
-        mask = X[:, f] < split
-        return {
-            "feat": f,
-            "split": split,
-            "left": self._build(X[mask], rng, depth + 1, limit),
-            "right": self._build(X[~mask], rng, depth + 1, limit),
-        }
-
     def fit(self, X: np.ndarray) -> "IsolationForest":
         X = np.asarray(X, dtype=np.float64)
         rng = np.random.default_rng(self.seed)
         psi = min(self.subsample, X.shape[0])
         limit = int(np.ceil(np.log2(max(psi, 2))))
-        self.trees_ = []
+        trees = []
         for _ in range(self.n_trees):
             idx = rng.choice(X.shape[0], size=psi, replace=False)
-            self.trees_.append(self._build(X[idx], rng, 0, limit))
+            trees.append(_grow(X[idx], rng, limit))
+        self.trees_ = stack_trees(trees)
         self._psi = psi
         train_scores = self.score(X)
         # Threshold at the (1 - contamination) quantile of train scores.
         self.threshold_ = float(np.quantile(train_scores, 1.0 - self.contamination))
         return self
 
-    def _path_length(self, tree: dict, X: np.ndarray, depth: int, out, idx) -> None:
-        if "feat" not in tree:
-            out[idx] = depth + _c(tree["size"])
-            return
-        mask = X[idx, tree["feat"]] < tree["split"]
-        if mask.any():
-            self._path_length(tree["left"], X, depth + 1, out, idx[mask])
-        if (~mask).any():
-            self._path_length(tree["right"], X, depth + 1, out, idx[~mask])
-
     def score(self, X: np.ndarray) -> np.ndarray:
         """Anomaly scores in (0, 1); larger is more anomalous."""
         X = np.asarray(X, dtype=np.float64)
-        depths = np.zeros((len(self.trees_), X.shape[0]))
-        for i, tree in enumerate(self.trees_):
-            self._path_length(tree, X, 0, depths[i], np.arange(X.shape[0]))
-        mean_depth = depths.mean(axis=0)
+        mean_depth = tree_apply(self.trees_, X).mean(axis=0)
         return 2.0 ** (-mean_depth / max(_c(self._psi), 1e-9))
 
     def predict_outlier(self, X: np.ndarray) -> np.ndarray:

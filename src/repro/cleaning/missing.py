@@ -35,7 +35,7 @@ def fit_impute_stats(
     """Compute mean/median/mode per numeric and mode per categorical."""
     stats = ImputeStats()
     for c in numeric:
-        col = pd.to_numeric(train[c], errors="coerce").dropna()
+        col = train[c].dropna()
         if col.empty:
             stats.num_mean[c] = stats.num_median[c] = stats.num_mode[c] = 0.0
             continue
@@ -70,9 +70,7 @@ def impute_pandas(
     """Repair by imputation with train-fitted statistics."""
     out = pdf.copy()
     for c in numeric:
-        out[c] = pd.to_numeric(out[c], errors="coerce").fillna(
-            stats.numeric_value(c, num_method)
-        )
+        out[c] = out[c].fillna(stats.numeric_value(c, num_method))
     for c in categorical:
         fill = DUMMY if cat_method == "dummy" else stats.cat_mode[c]
         out[c] = out[c].where(out[c].notna(), fill)

@@ -49,7 +49,7 @@ class OutlierStats:
 
 
 def _numeric_matrix(pdf: pd.DataFrame, numeric: list[str]) -> np.ndarray:
-    X = pdf[numeric].apply(pd.to_numeric, errors="coerce").to_numpy(dtype=np.float64)
+    X = pdf[numeric].to_numpy(dtype=np.float64)
     if np.isnan(X).any():
         med = np.nanmedian(X, axis=0)
         X = np.where(np.isnan(X), np.where(np.isnan(med), 0.0, med), X)
@@ -63,7 +63,7 @@ def fit_outlier_stats(
     stats = OutlierStats(detect=detect, numeric=list(numeric))
     if detect in ("SD", "IQR"):
         for c in numeric:
-            col = pd.to_numeric(train[c], errors="coerce").dropna()
+            col = train[c].dropna()
             if col.empty:
                 stats.bounds[c] = (-np.inf, np.inf)
                 continue
@@ -81,7 +81,7 @@ def fit_outlier_stats(
         raise KeyError(f"unknown detector {detect!r}")
     cell_mask = detect_cells_pandas(train, stats)
     for c in numeric:
-        col = pd.to_numeric(train[c], errors="coerce")
+        col = train[c]
         inlier = col[~cell_mask[c] & col.notna()]
         if inlier.empty:
             inlier = col.dropna()
@@ -100,8 +100,7 @@ def detect_cells_pandas(pdf: pd.DataFrame, stats: OutlierStats) -> pd.DataFrame:
     if stats.detect in ("SD", "IQR"):
         for c in stats.numeric:
             lo, hi = stats.bounds[c]
-            col = pd.to_numeric(pdf[c], errors="coerce")
-            mask[c] = (col < lo) | (col > hi)
+            mask[c] = (pdf[c] < lo) | (pdf[c] > hi)
     else:
         rows = stats.forest.predict_outlier(_numeric_matrix(pdf, stats.numeric))
         for c in stats.numeric:
@@ -121,6 +120,5 @@ def repair_pandas(pdf: pd.DataFrame, stats: OutlierStats, repair: str) -> pd.Dat
     mask = detect_cells_pandas(pdf, stats)
     out = pdf.copy()
     for c in stats.numeric:
-        col = pd.to_numeric(out[c], errors="coerce")
-        out[c] = col.mask(mask[c], stats.fill_value(c, repair))
+        out[c] = out[c].mask(mask[c], stats.fill_value(c, repair))
     return out

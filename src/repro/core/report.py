@@ -21,7 +21,7 @@ def markdown_table(pdf: pd.DataFrame) -> str:
     cols = list(pdf.columns)
     lines = ["| " + " | ".join(str(c) for c in cols) + " |"]
     lines.append("|" + "|".join("---" for _ in cols) + "|")
-    for _, row in pdf.iterrows():
+    for row in pdf.itertuples(index=False):  # keeps each column's dtype
         lines.append("| " + " | ".join(str(v) for v in row) + " |")
     return "\n".join(lines)
 

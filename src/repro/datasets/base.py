@@ -18,7 +18,10 @@ import pandas as pd
 
 @dataclass(frozen=True)
 class DatasetSpec:
-    """Column roles and error profile of one benchmark dataset."""
+    """Column roles and error profile of one benchmark dataset.
+
+    Every ``numeric`` column has a numeric (float or int) dtype; cleaning
+    and featurizing rely on that and do not coerce."""
 
     name: str
     label: str

@@ -46,7 +46,7 @@ class Featurizer:
         self._num_mean = {}
         self._num_std = {}
         for c in self.numeric:
-            col = pd.to_numeric(df[c], errors="coerce")
+            col = df[c]
             m = float(col.mean()) if col.notna().any() else 0.0
             s = float(col.std(ddof=0)) if col.notna().any() else 1.0
             self._num_mean[c] = m
@@ -78,7 +78,7 @@ class Featurizer:
         n = len(df)
         blocks: list[np.ndarray] = []
         for c in self.numeric:
-            col = pd.to_numeric(df[c], errors="coerce").to_numpy(dtype=np.float64)
+            col = df[c].to_numpy(dtype=np.float64)
             col = np.where(np.isnan(col), self._num_mean[c], col)
             blocks.append(((col - self._num_mean[c]) / self._num_std[c])[:, None])
         for c in self.categorical:

@@ -16,7 +16,8 @@ Trees are flat arrays (:class:`Tree`), grown depth-first so that a random
 forest draws its per-node feature subsets in the same order as a
 recursive grower would. An ensemble stacks its trees into one ``Tree``,
 and :func:`tree_apply` routes every row through every stacked tree level
-by level in one call.
+by level in one call. The isolation forest grows the same trees on
+float64 values.
 """
 from __future__ import annotations
 
@@ -55,13 +56,14 @@ class Binner:
 class Tree:
     """One or more binary trees stored as flat node arrays.
 
-    Node ``i`` sends a row left when its bin of feature ``feat[i]`` is at
-    most ``thr[i]``; ``feat[i] == -1`` marks a leaf (its children are -1)
-    and ``value[i]`` is the node's prediction. Each tree's nodes are
-    contiguous and in depth-first (pre-)order, starting at its entry in
-    ``roots``. ``fitted`` holds, for a tree just grown, the leaf value of
-    each training row, read off the grower's own partition; it is None
-    for stacked trees.
+    Node ``i`` sends a row left when its value of feature ``feat[i]`` is
+    at most ``thr[i]``, which has the dtype of the matrix the tree was
+    grown on (uint8 bins for a CART); ``feat[i] == -1`` marks a leaf (its
+    children are -1) and ``value[i]`` is the node's prediction. Each
+    tree's nodes are contiguous and in depth-first (pre-)order, starting
+    at its entry in ``roots``. ``fitted`` holds, for a tree just grown,
+    the leaf value of each training row, read off the grower's own
+    partition; it is None for stacked trees.
     """
 
     feat: np.ndarray
@@ -74,15 +76,16 @@ class Tree:
 
 
 class _Builder:
-    """Collects the nodes of one tree in the order they are created."""
+    """Collects the nodes of one tree grown on ``B`` in creation order."""
 
-    def __init__(self, n_rows: int):
+    def __init__(self, B: np.ndarray):
         self.feat: list[int] = []
-        self.thr: list[int] = []
+        self.thr: list = []
         self.left: list[int] = []
         self.right: list[int] = []
         self.value: list[float] = []
-        self.fitted = np.empty(n_rows, dtype=np.float64)
+        self.fitted = np.empty(B.shape[0], dtype=np.float64)
+        self.thr_dtype = B.dtype
 
     def node(self, value: float) -> int:
         self.feat.append(-1)
@@ -99,7 +102,7 @@ class _Builder:
     def tree(self) -> Tree:
         return Tree(
             feat=np.array(self.feat, dtype=np.intp),
-            thr=np.array(self.thr, dtype=np.uint8),
+            thr=np.array(self.thr, dtype=self.thr_dtype),
             left=np.array(self.left, dtype=np.intp),
             right=np.array(self.right, dtype=np.intp),
             value=np.array(self.value, dtype=np.float64),
@@ -242,7 +245,7 @@ def fit_tree_classifier(
     y = np.asarray(y, dtype=np.int64)
     w = np.ones(y.size, dtype=np.float64) if w is None else np.asarray(w, np.float64)
     d = B.shape[1]
-    out = _Builder(B.shape[0])
+    out = _Builder(B)
 
     def grow(idx: np.ndarray, depth: int) -> int:
         wb = w[idx]
@@ -285,7 +288,7 @@ def fit_tree_newton(
     - G^2/(H+lam)); leaf weight is -G/(H+lam).
     """
     _check_bins(B, n_bins)
-    out = _Builder(B.shape[0])
+    out = _Builder(B)
 
     def grow(idx: np.ndarray, depth: int) -> int:
         G = float(grad[idx].sum())

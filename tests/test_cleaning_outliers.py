@@ -1,5 +1,7 @@
 """Outlier cleaning: SD/IQR/IF detection, repairs, DuckDB oracle, and
 the cleaning gain on EEG."""
+import dataclasses
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -16,6 +18,7 @@ from repro.datasets.registry import load_dataset, spec_for
 from repro.ml.features import Featurizer
 from repro.ml.metrics import accuracy
 from repro.ml.models import make_model
+from repro.ml.tree import Tree, tree_apply
 from repro.oracle import assert_equivalent
 
 
@@ -65,7 +68,67 @@ class TestIQR:
         assert rows.equals(cells.any(axis=1))
 
 
+# Scores of IsolationForest(n_trees=8, seed=4) on the ``tied`` matrices,
+# recorded from the recursive dict-tree scorer the flat trees replaced.
+RECORDED_TRAIN = [
+    0.5685973405426707, 0.5617547032526415, 0.45770783146371463, 0.4929792721045888,
+    0.5617547032526415, 0.5081013501859596, 0.45770783146371463, 0.4929792721045888,
+    0.4929792721045888, 0.480374361533702, 0.45770783146371463, 0.5529728014572161,
+    0.45770783146371463, 0.480374361533702, 0.5632180255768503, 0.4929792721045888,
+    0.4929792721045888, 0.45770783146371463, 0.5085989759393373, 0.45770783146371463,
+]
+RECORDED_HELD_OUT = [
+    0.5810631952456387, 0.5810631952456387, 0.5685973405426707, 0.5529728014572161,
+    0.45770783146371463,
+]
+RECORDED_THRESHOLD = 0.5675752706991648
+
+
+@pytest.fixture
+def tied():
+    """Rounded training values (many ties) with a constant column, and a
+    held-out matrix."""
+    rng = np.random.default_rng(13)
+    X = np.round(rng.normal(0, 2, (20, 3)))
+    X[:, 2] = 1.0
+    return X, np.round(rng.normal(0, 3, (5, 3)), 1)
+
+
 class TestIsolationForest:
+    def test_scores_match_recorded(self, tied):
+        X, held_out = tied
+        f = IsolationForest(n_trees=8, seed=4).fit(X)
+        assert f.score(X).tolist() == RECORDED_TRAIN
+        assert f.score(held_out).tolist() == RECORDED_HELD_OUT
+        assert f.threshold_ == RECORDED_THRESHOLD
+
+    def test_row_at_split_goes_right(self, tied):
+        X, _ = tied
+        trees = IsolationForest(n_trees=1, seed=4).fit(X).trees_
+        rng = np.random.default_rng(4)  # replay the root's draws
+        sub = X[rng.choice(X.shape[0], size=X.shape[0], replace=False)]
+        feat = int(rng.integers(0, X.shape[1]))
+        split = rng.uniform(sub[:, feat].min(), sub[:, feat].max())
+        root = trees.roots[0]
+        assert trees.feat[root] == feat
+        # Leaf values become node ids; in pre-order the right subtree
+        # starts at right[root], after every node of the left one.
+        ids = dataclasses.replace(trees, value=np.arange(trees.feat.size, dtype=float))
+        rows = np.repeat(X[:1], 2, axis=0)
+        rows[:, feat] = [np.nextafter(split, -np.inf), split]
+        below, at = tree_apply(ids, rows)[0]
+        assert below < trees.right[root] <= at
+
+    def test_trees_are_one_stacked_tree(self, tied):
+        trees = IsolationForest(n_trees=8, seed=4).fit(tied[0]).trees_
+        assert isinstance(trees, Tree)
+        assert trees.roots.size == 8
+        assert trees.thr.dtype == np.float64
+
+    def test_empty_matrix_scores_empty(self, tied):
+        f = IsolationForest(n_trees=8, seed=4).fit(tied[0])
+        assert f.score(np.empty((0, 3))).shape == (0,)
+
     def test_c_formula(self):
         assert _c(1) == 0.0
         assert _c(2) > 0.0

@@ -42,7 +42,7 @@ class TestEveryDataset:
         spec = spec_for(name)
         pdf = load_dataset(name)
         for c in spec.numeric:
-            assert pd.to_numeric(pdf[c], errors="coerce").notna().sum() > 0
+            assert pdf[c].dtype.kind in "fiu", (c, pdf[c].dtype)
 
     def test_both_classes_present(self, name):
         spec = spec_for(name)

@@ -107,9 +107,13 @@ class TestRelationsEndToEnd:
         assert flag_counts(rel["R1"], "Q1", "inconsistencies").to_numpy().sum() == 12
         md = table15_markdown(spark, error_types=("inconsistencies",))
         assert "Q1 (E=inconsistencies)" in md
-        assert "| R |" in markdown_table(
-            pd.DataFrame({"R": ["R1"]})
-        )
+        for frame, header, row in (
+            (pd.DataFrame({"R": ["R1"]}), "| R |", "| R1 |"),
+            # an int column next to a float one still prints as an int
+            (pd.DataFrame({"seed": [100], "p": [0.5]}), "| seed | p |", "| 100 | 0.5 |"),
+        ):
+            lines = markdown_table(frame).splitlines()
+            assert (lines[0], lines[-1]) == (header, row)
 
 
 def _run_cleanml():

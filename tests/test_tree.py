@@ -206,6 +206,7 @@ class TestApply:
         trees = [fit_tree_classifier(B, y, max_depth=d, max_features=2, rng=rng) for d in (0, 1, 3, 6)]
         trees.append(fit_tree_newton(B, rng.normal(size=y.size), np.ones(y.size), max_depth=4))
         stacked = stack_trees(trees)
+        assert stacked.thr.dtype == np.uint8  # thresholds take the bins' dtype
         assert stacked.roots.tolist() == np.cumsum([0] + [t.feat.size for t in trees[:-1]]).tolist()
         assert tree_depth(stacked) == max(tree_depth(t) for t in trees)
         Bt = Binner().fit(X).transform(rng.normal(size=(150, 5)))
