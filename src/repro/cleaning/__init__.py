@@ -1,10 +1,11 @@
-"""Cleaning substrate: Table 2 detect/repair methods.
+"""Cleaning substrate: Table 2 as detect → mask → repair.
 
-Every method is a pandas function over one unit's frame, paired with a
-stats object fitted on the training set only (§4.1 step 2) and applied
-to train and test alike. The grid runs them inside ``mapInPandas``
-tasks, where per-unit frames are a few hundred to a few thousand rows;
-the modules import no Spark, so a work unit is pure pandas/NumPy.
+``registry.clean_versions`` fits each detector on the training set only
+(§4.1 step 2) and runs it once on train and once on test; missing
+values, outliers and duplicates repair those cell masks with
+``repair``'s row deletion or imputation. The modules import no Spark,
+so a work unit inside the grid's ``mapInPandas`` tasks is pure
+pandas/NumPy.
 
 DuckDB oracle tests (``repro.oracle``) pin the SQL semantics of
 missing-value and outlier deletion and imputation, and of dedup.

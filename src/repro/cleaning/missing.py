@@ -1,83 +1,41 @@
-"""Missing-value detection and repair (paper §3.1.1, Tables 2 & 5).
+"""Missing-value detection and imputation values (paper §3.1.1, Tables 2 & 5).
 
-Detection finds empty / NaN entries. Repairs: row deletion, or one of
-six imputations combining a numeric statistic (mean / median / mode)
-with a categorical strategy (mode, or the dedicated "missing" dummy
-category). Imputation statistics come from the training set only.
+Detection flags empty / NaN cells. The repairs are ``cleaning.repair``'s
+row deletion, or one of six imputations combining a numeric statistic
+(mean / median / mode) with a categorical strategy (mode, or the
+dedicated "missing" dummy category). Imputation values come from the
+training set only.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import pandas as pd
+
+from repro.cleaning.repair import inlier_stats
 
 DUMMY = "missing"
 
-
-@dataclass
-class ImputeStats:
-    """Per-column imputation values fitted on the (dirty) training set."""
-
-    num_mean: dict = field(default_factory=dict)
-    num_median: dict = field(default_factory=dict)
-    num_mode: dict = field(default_factory=dict)
-    cat_mode: dict = field(default_factory=dict)
-
-    def numeric_value(self, col: str, method: str) -> float:
-        return {"mean": self.num_mean, "median": self.num_median, "mode": self.num_mode}[
-            method
-        ][col]
+# Imputation method names follow the paper: "<numeric>_<categorical>",
+# each numeric statistic with each categorical strategy, where "dummy"
+# is the dedicated "missing" category (mean_mode, ..., mode_dummy).
+MISSING_IMPUTATIONS = tuple(
+    f"{num}_{cat}" for cat in ("mode", "dummy") for num in ("mean", "median", "mode")
+)
 
 
-def fit_impute_stats(
-    train: pd.DataFrame, numeric: list[str], categorical: list[str]
-) -> ImputeStats:
-    """Compute mean/median/mode per numeric and mode per categorical."""
-    stats = ImputeStats()
-    for c in numeric:
-        col = train[c].dropna()
-        if col.empty:
-            stats.num_mean[c] = stats.num_median[c] = stats.num_mode[c] = 0.0
-            continue
-        stats.num_mean[c] = float(col.mean())
-        stats.num_median[c] = float(col.median())
-        stats.num_mode[c] = float(col.mode().iloc[0])
+def detect_missing(frame: pd.DataFrame, cols: list[str]) -> pd.DataFrame:
+    """Boolean cell mask over ``cols``: True for every missing entry."""
+    return frame[cols].isna()
+
+
+def fit_imputations(
+    train: pd.DataFrame, mask: pd.DataFrame, numeric: list[str], categorical: list[str]
+) -> dict[str, dict]:
+    """Fill values of every imputation in ``MISSING_IMPUTATIONS``, keyed
+    by column, from ``train`` and its ``detect_missing`` mask."""
+    num = inlier_stats(train, mask[numeric])
+    modes = {}
     for c in categorical:
-        col = train[c].dropna()
-        stats.cat_mode[c] = str(col.mode().iloc[0]) if not col.empty else DUMMY
-    return stats
-
-
-def detect_missing_pandas(pdf: pd.DataFrame, cols: list[str]) -> pd.Series:
-    """Boolean row mask: any missing entry among ``cols``."""
-    return pdf[cols].isna().any(axis=1)
-
-
-def delete_missing_pandas(pdf: pd.DataFrame, cols: list[str]) -> pd.DataFrame:
-    """Repair by deletion: drop rows with any missing feature value."""
-    return pdf[~detect_missing_pandas(pdf, cols)].reset_index(drop=True)
-
-
-def impute_pandas(
-    pdf: pd.DataFrame,
-    stats: ImputeStats,
-    *,
-    numeric: list[str],
-    categorical: list[str],
-    num_method: str,
-    cat_method: str,
-) -> pd.DataFrame:
-    """Repair by imputation with train-fitted statistics."""
-    out = pdf.copy()
-    for c in numeric:
-        out[c] = out[c].fillna(stats.numeric_value(c, num_method))
-    for c in categorical:
-        fill = DUMMY if cat_method == "dummy" else stats.cat_mode[c]
-        out[c] = out[c].where(out[c].notna(), fill)
-    return out
-
-
-def split_repair(repair: str) -> tuple[str, str]:
-    """'mean_dummy' -> ('mean', 'dummy')."""
-    num_method, cat_method = repair.split("_", 1)
-    return num_method, cat_method
+        col = train[c][~mask[c]]
+        modes[c] = str(col.mode().iloc[0]) if not col.empty else DUMMY
+    cat = {"mode": modes, "dummy": dict.fromkeys(categorical, DUMMY)}
+    return {f"{n}_{k}": num[n] | cat[k] for k in cat for n in num}

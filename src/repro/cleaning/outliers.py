@@ -9,14 +9,14 @@ Detectors:
   0.01); flags whole rows, and repairs apply to every numeric cell of a
   flagged row.
 
-Repairs: delete flagged rows, or impute flagged cells with the mean /
-median / mode of the *inlier* training values of the column. All
-statistics (bounds, forest, repair values) are fitted on the training
-set only.
+Each detector is fitted on the training set only and returns a boolean
+cell mask over the numeric columns; the repairs are ``cleaning.repair``'s
+row deletion, or imputation with the mean / median / mode of the
+column's *inlier* training values.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import pandas as pd
@@ -28,24 +28,23 @@ IQR_K = 1.5
 IF_CONTAMINATION = 0.01
 
 
-@dataclass
-class OutlierStats:
-    """Fitted detection bounds / forest plus inlier repair values."""
+@dataclass(frozen=True)
+class OutlierDetector:
+    """A detector fitted on the training set: per-column SD/IQR bounds,
+    or the isolation forest (IF)."""
 
-    detect: str
-    bounds: dict = field(default_factory=dict)  # col -> (lo, hi), SD/IQR
-    forest: IsolationForest | None = None
-    fill_mean: dict = field(default_factory=dict)
-    fill_median: dict = field(default_factory=dict)
-    fill_mode: dict = field(default_factory=dict)
-    numeric: list = field(default_factory=list)
+    numeric: list
+    bounds: dict  # col -> (lo, hi), SD/IQR
+    forest: IsolationForest | None  # IF
 
-    def fill_value(self, col: str, repair: str) -> float:
-        return {
-            "impute_mean": self.fill_mean,
-            "impute_median": self.fill_median,
-            "impute_mode": self.fill_mode,
-        }[repair][col]
+    def cells(self, frame: pd.DataFrame) -> pd.DataFrame:
+        """Boolean mask frame over the numeric columns: True = outlier cell."""
+        if self.forest is None:
+            flags = {c: (frame[c] < lo) | (frame[c] > hi) for c, (lo, hi) in self.bounds.items()}
+        else:
+            rows = self.forest.predict_outlier(_numeric_matrix(frame, self.numeric))
+            flags = dict.fromkeys(self.numeric, rows)
+        return pd.DataFrame(flags, index=frame.index, columns=self.numeric)
 
 
 def _numeric_matrix(pdf: pd.DataFrame, numeric: list[str]) -> np.ndarray:
@@ -56,69 +55,28 @@ def _numeric_matrix(pdf: pd.DataFrame, numeric: list[str]) -> np.ndarray:
     return X
 
 
-def fit_outlier_stats(
-    train: pd.DataFrame, numeric: list[str], detect: str, *, seed: int = 0
-) -> OutlierStats:
-    """Fit bounds (SD/IQR) or the isolation forest (IF) on the train set."""
-    stats = OutlierStats(detect=detect, numeric=list(numeric))
+def fit_outlier_detector(
+    train: pd.DataFrame, numeric: list[str], detect: str, *, seed: int
+) -> OutlierDetector:
+    """Fit bounds (SD/IQR) or the isolation forest (IF, seeded by ``seed``)
+    on the train set."""
+    bounds, forest = {}, None
     if detect in ("SD", "IQR"):
         for c in numeric:
             col = train[c].dropna()
             if col.empty:
-                stats.bounds[c] = (-np.inf, np.inf)
+                bounds[c] = (-np.inf, np.inf)
                 continue
             if detect == "SD":
                 mu, sd = float(col.mean()), float(col.std(ddof=0))
-                stats.bounds[c] = (mu - SD_N * sd, mu + SD_N * sd)
+                bounds[c] = (mu - SD_N * sd, mu + SD_N * sd)
             else:
                 q1, q3 = float(col.quantile(0.25)), float(col.quantile(0.75))
                 iqr = q3 - q1
-                stats.bounds[c] = (q1 - IQR_K * iqr, q3 + IQR_K * iqr)
+                bounds[c] = (q1 - IQR_K * iqr, q3 + IQR_K * iqr)
     elif detect == "IF":
         X = _numeric_matrix(train, numeric)
-        stats.forest = IsolationForest(contamination=IF_CONTAMINATION, seed=seed).fit(X)
+        forest = IsolationForest(contamination=IF_CONTAMINATION, seed=seed).fit(X)
     else:
         raise KeyError(f"unknown detector {detect!r}")
-    cell_mask = detect_cells_pandas(train, stats)
-    for c in numeric:
-        col = train[c]
-        inlier = col[~cell_mask[c] & col.notna()]
-        if inlier.empty:
-            inlier = col.dropna()
-        if inlier.empty:
-            stats.fill_mean[c] = stats.fill_median[c] = stats.fill_mode[c] = 0.0
-        else:
-            stats.fill_mean[c] = float(inlier.mean())
-            stats.fill_median[c] = float(inlier.median())
-            stats.fill_mode[c] = float(inlier.mode().iloc[0])
-    return stats
-
-
-def detect_cells_pandas(pdf: pd.DataFrame, stats: OutlierStats) -> pd.DataFrame:
-    """Boolean mask frame over the numeric columns: True = outlier cell."""
-    mask = pd.DataFrame(False, index=pdf.index, columns=stats.numeric)
-    if stats.detect in ("SD", "IQR"):
-        for c in stats.numeric:
-            lo, hi = stats.bounds[c]
-            mask[c] = (pdf[c] < lo) | (pdf[c] > hi)
-    else:
-        rows = stats.forest.predict_outlier(_numeric_matrix(pdf, stats.numeric))
-        for c in stats.numeric:
-            mask[c] = rows
-    return mask
-
-
-def detect_rows_pandas(pdf: pd.DataFrame, stats: OutlierStats) -> pd.Series:
-    """Boolean row mask: row contains at least one outlier cell."""
-    return detect_cells_pandas(pdf, stats).any(axis=1)
-
-
-def repair_pandas(pdf: pd.DataFrame, stats: OutlierStats, repair: str) -> pd.DataFrame:
-    """Apply one of Table 2's outlier repairs."""
-    if repair == "delete":
-        return pdf[~detect_rows_pandas(pdf, stats)].reset_index(drop=True)
-    mask = detect_cells_pandas(pdf, stats)
-    out = pdf.copy()
-    for c in stats.numeric:
-        out[c] = out[c].mask(mask[c], stats.fill_value(c, repair))
-    return out
+    return OutlierDetector(list(numeric), bounds, forest)

@@ -2,11 +2,10 @@
 
 The one owner of each error type's method layout: which (detect,
 repair) methods exist, the label each gives its training version and
-test variant in the results, and how their statistics are fitted.
+test variant in the results, and how each is detected and repaired.
 """
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial
 
@@ -15,8 +14,9 @@ import pandas as pd
 from repro.cleaning import inconsistencies as inc
 from repro.cleaning import missing as mv
 from repro.cleaning import outliers as out
-from repro.cleaning.duplicates import dedup_pandas
+from repro.cleaning.duplicates import detect_duplicates
 from repro.cleaning.mislabels import repair_mislabels_pandas
+from repro.cleaning.repair import delete_rows, impute, inlier_stats
 from repro.datasets.base import DatasetSpec
 
 ERROR_TYPES = (
@@ -27,24 +27,12 @@ ERROR_TYPES = (
     "mislabels",
 )
 
-# Imputation method names follow the paper: "<numeric> <categorical>"
-# e.g. mean_mode = numeric mean + categorical mode; *_dummy uses the
-# dedicated "missing" category for categoricals.
-MISSING_IMPUTATIONS = (
-    "mean_mode",
-    "median_mode",
-    "mode_mode",
-    "mean_dummy",
-    "median_dummy",
-    "mode_dummy",
-)
-
 OUTLIER_DETECTORS = ("SD", "IQR", "IF")
 OUTLIER_REPAIRS = ("delete", "impute_mean", "impute_median", "impute_mode")
 
 # Table 2: error type -> (detectors, repairs); each pair is one method.
 _TABLE2 = {
-    "missing_values": (("empty_entry",), MISSING_IMPUTATIONS),
+    "missing_values": (("empty_entry",), mv.MISSING_IMPUTATIONS),
     "outliers": (OUTLIER_DETECTORS, OUTLIER_REPAIRS),
     "duplicates": (("key_collision",), ("delete",)),
     "inconsistencies": (("openrefine_fingerprint",), ("merge",)),
@@ -89,36 +77,49 @@ def methods_for(error_type: str) -> tuple[CleaningMethod, ...]:
     )
 
 
-def fit_cleaners(
-    spec: DatasetSpec, error_type: str, train: pd.DataFrame, *, seed: int = 0
-) -> list[tuple[CleaningMethod, Callable[[pd.DataFrame], pd.DataFrame]]]:
-    """``(method, clean)`` for every method of ``methods_for(error_type)``.
+def clean_versions(
+    spec: DatasetSpec,
+    error_type: str,
+    train: pd.DataFrame,
+    test: pd.DataFrame,
+    *,
+    seed: int = 0,
+) -> list[tuple[CleaningMethod, pd.DataFrame, pd.DataFrame]]:
+    """``(method, cleaned train, cleaned test)`` for every method of
+    ``methods_for(error_type)``, in its order.
 
-    ``clean(pdf)`` applies the method to a train or test frame with
-    statistics fitted on the dirty ``train`` only (§4.1 step 2). Each
-    detector is fitted once and shared by its repairs: one imputation
-    fit, one merge fit, one fit per outlier detector (``seed`` seeds the
-    isolation forest).
+    Each detector is fitted once on the dirty ``train`` (§4.1 step 2;
+    ``seed`` seeds the isolation forest) and run once on each frame,
+    and its repairs share the two cell masks: row deletion, or
+    imputation with values fitted on ``train``. Inconsistencies and
+    mislabels clean each frame with their own merge and flip.
     """
     methods = methods_for(error_type)
+    frames = (train, test)
     numeric, categorical = list(spec.numeric), list(spec.categorical)
     if error_type == "missing_values":
-        stats = mv.fit_impute_stats(train, numeric, categorical)
-        cleaners = [
-            partial(mv.impute_pandas, stats=stats, numeric=numeric, categorical=categorical,
-                    num_method=num_m, cat_method=cat_m)
-            for num_m, cat_m in (mv.split_repair(m.repair) for m in methods)
-        ]
-    elif error_type == "outliers":
-        fitted = {d: out.fit_outlier_stats(train, numeric, d, seed=seed) for d in OUTLIER_DETECTORS}
-        cleaners = [
-            partial(out.repair_pandas, stats=fitted[m.detect], repair=m.repair) for m in methods
-        ]
-    elif error_type == "duplicates":
-        cleaners = [partial(dedup_pandas, key_cols=list(spec.key_cols))]
-    elif error_type == "inconsistencies":
+        masks = [mv.detect_missing(f, numeric + categorical) for f in frames]
+        fills = mv.fit_imputations(train, masks[0], numeric, categorical)
+        return [(m, *map(partial(impute, fill=fills[m.repair]), frames, masks)) for m in methods]
+    if error_type == "outliers":
+        versions = []
+        for detect in OUTLIER_DETECTORS:
+            detector = out.fit_outlier_detector(train, numeric, detect, seed=seed)
+            masks = [detector.cells(f) for f in frames]
+            repairs = {"delete": delete_rows} | {
+                f"impute_{stat}": partial(impute, fill=fill)
+                for stat, fill in inlier_stats(train, masks[0]).items()
+            }
+            versions += [
+                (m, *map(repairs[m.repair], frames, masks)) for m in methods if m.detect == detect
+            ]
+        return versions
+    if error_type == "duplicates":
+        masks = [detect_duplicates(f, list(spec.key_cols)) for f in frames]
+        return [(methods[0], *map(delete_rows, frames, masks))]
+    if error_type == "inconsistencies":
         cols = list(spec.inconsistent_cols)
-        cleaners = [partial(inc.merge_pandas, stats=inc.fit_merge_stats(train, cols), cols=cols)]
+        clean = partial(inc.merge_pandas, stats=inc.fit_merge_stats(train, cols), cols=cols)
     else:  # mislabels
-        cleaners = [partial(repair_mislabels_pandas, label=spec.label)]
-    return list(zip(methods, cleaners, strict=True))
+        clean = partial(repair_mislabels_pandas, label=spec.label)
+    return [(methods[0], clean(train), clean(test))]

@@ -1,8 +1,8 @@
 """One work unit of the benchmark: (dataset, error type, split seed).
 
 Implements §4.1's metric-pair generation for *all* cleaning methods and
-models of the unit at once: split 70/30, fit every cleaning method's
-statistics on the (dirty) training set, produce every cleaned training
+models of the unit at once: split 70/30, fit every cleaning detector
+on the (dirty) training set, produce every cleaned training
 version and test variant, then random-search and fit every model on
 every training version and score it on every test variant. The
 resulting long-format rows are all the harness needs to assemble the
@@ -18,8 +18,9 @@ import zlib
 import numpy as np
 import pandas as pd
 
-from repro.cleaning.missing import delete_missing_pandas
-from repro.cleaning.registry import fit_cleaners, methods_for
+from repro.cleaning.missing import detect_missing
+from repro.cleaning.registry import clean_versions, methods_for
+from repro.cleaning.repair import delete_rows
 from repro.core.protocol import Protocol
 from repro.core.schema import BASELINE_METHODS, DIRTY, RESULT_COLUMNS, baseline_for, scenarios_for
 from repro.datasets.base import DatasetSpec
@@ -61,12 +62,12 @@ def build_versions(
     train_versions = {
         baseline: train
         if baseline == DIRTY
-        else delete_missing_pandas(train, list(spec.feature_cols))
+        else delete_rows(train, detect_missing(train, list(spec.feature_cols)))
     }
     test_variants = {DIRTY: test} if "CD" in scenarios_for(error_type) else {}
-    for method, clean in fit_cleaners(spec, error_type, train, seed=seed):
-        train_versions[method.label] = clean(train)
-        test_variants[method.label] = clean(test)
+    for method, train_v, test_v in clean_versions(spec, error_type, train, test, seed=seed):
+        train_versions[method.label] = train_v
+        test_variants[method.label] = test_v
     return train_versions, test_variants
 
 

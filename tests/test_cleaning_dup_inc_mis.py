@@ -3,10 +3,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.cleaning.duplicates import (
-    dedup_pandas,
-    detect_duplicates_pandas,
-)
+from repro.cleaning.duplicates import detect_duplicates
 from repro.cleaning.inconsistencies import (
     fingerprint,
     fit_merge_stats,
@@ -20,6 +17,7 @@ from repro.cleaning.mislabels import (
     repair_mislabels_pandas,
 )
 from repro.cleaning.registry import ERROR_TYPES, CleaningMethod, methods_for
+from repro.cleaning.repair import delete_rows
 from repro.oracle import assert_equivalent
 
 
@@ -33,18 +31,22 @@ def dup_frame():
     )
 
 
+def dedup(pdf, key_cols):
+    return delete_rows(pdf, detect_duplicates(pdf, key_cols))
+
+
 class TestDuplicates:
     def test_detect_marks_later_copies(self, dup_frame):
-        mask = detect_duplicates_pandas(dup_frame, ["key"])
+        mask = detect_duplicates(dup_frame, ["key"])["key"]
         assert mask.tolist() == [False, False, True, False, True, True, False]
 
     def test_dedup_keeps_first(self, dup_frame):
-        out = dedup_pandas(dup_frame, ["key"])
+        out = dedup(dup_frame, ["key"])
         assert out.v.tolist() == [10, 20, 30, 40]
 
     def test_dedup_against_oracle(self, dup_frame):
         pdf = dup_frame.reset_index(names="rid")
-        out = dedup_pandas(pdf, ["key"])[["key", "v"]]
+        out = dedup(pdf, ["key"])[["key", "v"]]
         assert_equivalent(
             out,
             """SELECT key, v FROM (
@@ -55,7 +57,7 @@ class TestDuplicates:
 
     def test_multi_column_key(self):
         pdf = pd.DataFrame({"a": [1, 1, 1], "b": ["x", "x", "y"], "v": [1, 2, 3]})
-        out = dedup_pandas(pdf, ["a", "b"])
+        out = dedup(pdf, ["a", "b"])
         assert out.v.tolist() == [1, 3]
 
 

@@ -7,12 +7,8 @@ import pandas as pd
 import pytest
 
 from repro.cleaning.isolation_forest import IsolationForest, _c
-from repro.cleaning.outliers import (
-    detect_cells_pandas,
-    detect_rows_pandas,
-    fit_outlier_stats,
-    repair_pandas,
-)
+from repro.cleaning.outliers import fit_outlier_detector
+from repro.cleaning.repair import delete_rows, impute, inlier_stats
 from repro.core.runner import split_frame
 from repro.datasets.registry import load_dataset, spec_for
 from repro.ml.features import Featurizer
@@ -33,39 +29,37 @@ def frame():
 
 class TestSD:
     def test_bounds_formula(self, frame):
-        s = fit_outlier_stats(frame, ["a"], "SD")
+        s = fit_outlier_detector(frame, ["a"], "SD", seed=0)
         mu, sd = frame.a.mean(), frame.a.std(ddof=0)
         assert s.bounds["a"][0] == pytest.approx(mu - 3 * sd)
         assert s.bounds["a"][1] == pytest.approx(mu + 3 * sd)
 
     def test_detects_planted(self, frame):
-        s = fit_outlier_stats(frame, ["a"], "SD")
-        mask = detect_cells_pandas(frame, s)
+        mask = fit_outlier_detector(frame, ["a"], "SD", seed=0).cells(frame)
         assert mask.a[:5].all()
 
     def test_clean_column_untouched(self, frame):
-        s = fit_outlier_stats(frame, ["a", "b"], "SD")
-        mask = detect_cells_pandas(frame, s)
+        mask = fit_outlier_detector(frame, ["a", "b"], "SD", seed=0).cells(frame)
         assert mask.b.sum() <= 2  # ~3 sigma on normal data
 
 
 class TestIQR:
     def test_bounds_formula(self, frame):
-        s = fit_outlier_stats(frame, ["a"], "IQR")
+        s = fit_outlier_detector(frame, ["a"], "IQR", seed=0)
         q1, q3 = frame.a.quantile(0.25), frame.a.quantile(0.75)
         iqr = q3 - q1
         assert s.bounds["a"][0] == pytest.approx(q1 - 1.5 * iqr)
         assert s.bounds["a"][1] == pytest.approx(q3 + 1.5 * iqr)
 
     def test_detects_planted(self, frame):
-        s = fit_outlier_stats(frame, ["a"], "IQR")
-        assert detect_cells_pandas(frame, s).a[:5].all()
+        s = fit_outlier_detector(frame, ["a"], "IQR", seed=0)
+        assert s.cells(frame).a[:5].all()
 
     def test_row_mask_is_union(self, frame):
-        s = fit_outlier_stats(frame, ["a", "b"], "IQR")
-        cells = detect_cells_pandas(frame, s)
-        rows = detect_rows_pandas(frame, s)
-        assert rows.equals(cells.any(axis=1))
+        cells = fit_outlier_detector(frame, ["a", "b"], "IQR", seed=0).cells(frame)
+        flagged = set(frame.index[cells.a]) | set(frame.index[cells.b])
+        kept = delete_rows(frame, cells)
+        assert kept.equals(frame.drop(index=list(flagged)).reset_index(drop=True))
 
 
 # Scores of IsolationForest(n_trees=8, seed=4) on the ``tied`` matrices,
@@ -158,8 +152,7 @@ class TestIsolationForest:
     def test_detects_planted_in_frame(self, frame):
         # contamination=0.01 flags ~2 of 200 rows; those few flagged
         # rows must come from the planted gross outliers.
-        s = fit_outlier_stats(frame, ["a", "b"], "IF", seed=0)
-        rows = detect_rows_pandas(frame, s)
+        rows = fit_outlier_detector(frame, ["a", "b"], "IF", seed=0).cells(frame).any(axis=1)
         assert 1 <= rows.sum() <= 6
         assert rows[:5].sum() >= 1
         assert rows[5:].sum() <= 1
@@ -168,47 +161,57 @@ class TestIsolationForest:
 class TestRepairs:
     @pytest.mark.parametrize("detect", ["SD", "IQR"])
     def test_delete_removes_flagged_rows(self, frame, detect):
-        s = fit_outlier_stats(frame, ["a"], detect)
-        out = repair_pandas(frame, s, "delete")
-        assert len(out) == len(frame) - detect_rows_pandas(frame, s).sum()
+        cells = fit_outlier_detector(frame, ["a"], detect, seed=0).cells(frame)
+        out = delete_rows(frame, cells)
+        assert len(out) == len(frame) - cells.any(axis=1).sum()
 
     @pytest.mark.parametrize(
         "repair", ["impute_mean", "impute_median", "impute_mode"]
     )
     def test_impute_uses_inlier_stats(self, frame, repair):
-        s = fit_outlier_stats(frame, ["a"], "SD")
-        out = repair_pandas(frame, s, repair)
-        fill = s.fill_value("a", repair)
+        s = fit_outlier_detector(frame, ["a"], "SD", seed=0)
+        cells = s.cells(frame)
+        fills = inlier_stats(frame, cells)[repair.removeprefix("impute_")]
+        out = impute(frame, cells, fills)
+        fill = fills["a"]
         assert np.allclose(out.a[:5], fill)
         lo, hi = s.bounds["a"]
         assert lo <= fill <= hi  # fitted on inliers only
 
     def test_impute_keeps_inliers(self, frame):
-        s = fit_outlier_stats(frame, ["a"], "IQR")
-        out = repair_pandas(frame, s, "impute_mean")
-        inl = ~detect_cells_pandas(frame, s).a
+        cells = fit_outlier_detector(frame, ["a"], "IQR", seed=0).cells(frame)
+        out = impute(frame, cells, inlier_stats(frame, cells)["mean"])
+        inl = ~cells.a
         assert np.allclose(out.a[inl], frame.a[inl])
 
     def test_if_repair_applies_to_whole_row(self, frame):
-        s = fit_outlier_stats(frame, ["a", "b"], "IF", seed=0)
-        out = repair_pandas(frame, s, "impute_median")
-        rows = detect_rows_pandas(frame, s)
-        assert np.allclose(out.a[rows], s.fill_median["a"])
-        assert np.allclose(out.b[rows], s.fill_median["b"])
+        cells = fit_outlier_detector(frame, ["a", "b"], "IF", seed=0).cells(frame)
+        fill = inlier_stats(frame, cells)["median"]
+        out = impute(frame, cells, fill)
+        rows = cells.any(axis=1)
+        assert np.allclose(out.a[rows], fill["a"])
+        assert np.allclose(out.b[rows], fill["b"])
 
     def test_test_set_repaired_with_train_bounds(self, frame):
-        s = fit_outlier_stats(frame, ["a"], "SD")
+        s = fit_outlier_detector(frame, ["a"], "SD", seed=0)
+        fill = inlier_stats(frame, s.cells(frame))["mean"]
         test = pd.DataFrame({"a": [10.0, 500.0], "b": [0.0, 0.0]})
-        out = repair_pandas(test, s, "impute_mean")
+        out = impute(test, s.cells(test), fill)
         assert out.a[0] == 10.0
-        assert out.a[1] == pytest.approx(s.fill_mean["a"])
+        assert out.a[1] == pytest.approx(fill["a"])
+
+    def test_inlier_stats_fall_back(self):
+        """Every cell flagged: stats over all non-missing cells; none: 0.0."""
+        train = pd.DataFrame({"a": [1.0, 3.0, np.nan], "b": [np.nan] * 3})
+        flagged = pd.DataFrame(True, index=train.index, columns=["a", "b"])
+        assert inlier_stats(train, flagged)["mean"] == {"a": 2.0, "b": 0.0}
 
 
 class TestOracle:
     def test_delete_against_oracle(self, frame):
-        s = fit_outlier_stats(frame, ["a"], "SD")
+        s = fit_outlier_detector(frame, ["a"], "SD", seed=0)
         lo, hi = s.bounds["a"]
-        out = repair_pandas(frame[["a"]], s, "delete")
+        out = delete_rows(frame[["a"]], s.cells(frame[["a"]]))
         assert_equivalent(
             out,
             f"SELECT a FROM t WHERE a >= {lo} AND a <= {hi}",
@@ -216,10 +219,11 @@ class TestOracle:
         )
 
     def test_impute_against_oracle(self, frame):
-        s = fit_outlier_stats(frame, ["a"], "IQR")
+        s = fit_outlier_detector(frame, ["a"], "IQR", seed=0)
         lo, hi = s.bounds["a"]
-        fill = s.fill_mean["a"]
-        out = repair_pandas(frame[["a"]], s, "impute_mean")
+        fills = inlier_stats(frame, s.cells(frame))["mean"]
+        fill = fills["a"]
+        out = impute(frame[["a"]], s.cells(frame[["a"]]), fills)
         assert_equivalent(
             out,
             f"SELECT CASE WHEN a < {lo} OR a > {hi} THEN {fill} ELSE a END AS a FROM t",
@@ -233,9 +237,11 @@ class TestCleaningGain:
         logistic regression, both scored on the cleaned test set."""
         spec = spec_for("EEG")
         train, test = split_frame(load_dataset("EEG"), 11, 0.3)
-        stats = fit_outlier_stats(train, list(spec.numeric), "IQR")
-        train_c = repair_pandas(train, stats, "impute_mean")
-        test_c = repair_pandas(test, stats, "impute_mean")
+        detector = fit_outlier_detector(train, list(spec.numeric), "IQR", seed=0)
+        train_mask = detector.cells(train)
+        fill = inlier_stats(train, train_mask)["mean"]
+        train_c = impute(train, train_mask, fill)
+        test_c = impute(test, detector.cells(test), fill)
         yt = test_c[spec.label].to_numpy()
 
         def score(fit_frame):

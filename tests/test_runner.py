@@ -10,6 +10,7 @@ import pytest
 
 import repro
 from repro.cleaning import inconsistencies, missing, outliers
+from repro.cleaning.isolation_forest import IsolationForest
 from repro.cleaning.mislabels import TRUE_LABEL
 from repro.cleaning.registry import ERROR_TYPES, methods_for
 from repro.core.protocol import SMOKE, Protocol
@@ -169,8 +170,8 @@ class TestLayout:
     @pytest.mark.parametrize(
         "error, module, fit, n_fits",
         [
-            ("outliers", outliers, "fit_outlier_stats", 3),
-            ("missing_values", missing, "fit_impute_stats", 1),
+            ("outliers", outliers, "fit_outlier_detector", 3),
+            ("missing_values", missing, "fit_imputations", 1),
             ("inconsistencies", inconsistencies, "fit_merge_stats", 1),
         ],
     )
@@ -187,6 +188,26 @@ class TestLayout:
         monkeypatch.setattr(module, fit, counted)
         _versions(LAYOUT_DATASET[error], error)
         assert len(calls) == n_fits
+
+    def test_detects_once_per_frame(self, monkeypatch):
+        """An outliers unit runs each of its 3 detectors once on train and
+        once on test, and scores the isolation forest for its threshold,
+        train and test, however many repairs share the masks."""
+        calls = {"cells": 0, "score": 0}
+
+        def counted(cls, name):
+            real = getattr(cls, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(cls, name, wrapper)
+
+        counted(outliers.OutlierDetector, "cells")
+        counted(IsolationForest, "score")
+        _versions(LAYOUT_DATASET["outliers"], "outliers")
+        assert calls == {"cells": 6, "score": 3}
 
 
 class TestRunUnit:
