@@ -1,6 +1,14 @@
 import os
 import sys
 
+# Run from a plain checkout: the tests import ``repro`` from ``src/``, and
+# so do Spark's Python workers, which see only the environment.
+_SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "src")
+sys.path.insert(0, _SRC)
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (_SRC, os.environ.get("PYTHONPATH")) if p
+)
+
 
 def _driver_mem() -> str:
     """~75% of the container's memory limit, for the Spark driver JVM.

@@ -1,17 +1,16 @@
-"""Inconsistency detection and merge (paper §3.1.4).
+"""Inconsistency detection (paper §3.1.4).
 
 The paper uses OpenRefine's clustering; we implement OpenRefine's
 default **fingerprint key collision** method: normalize a value
-(lowercase, strip punctuation, sort tokens), group values sharing a
-fingerprint, and merge every variant to the cluster's most frequent
-representation. The mapping is fitted on the training column and
-applied to train and test; unseen test variants are resolved through
-their fingerprint.
+(lowercase, strip punctuation, sort tokens) and group values sharing a
+fingerprint. A cluster's canonical form is its most frequent variant in
+the training column. A train or test cell is flagged when its value
+differs from its canonical form (unseen test variants are resolved
+through their fingerprint), and ``cleaning.repair.impute`` merges it.
 """
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 
 import pandas as pd
 
@@ -24,50 +23,26 @@ def fingerprint(value: str) -> str:
     return " ".join(sorted(set(toks)))
 
 
-@dataclass
-class MergeStats:
-    """Per-column canonical representation per fingerprint cluster."""
-
-    canonical: dict = field(default_factory=dict)  # col -> {fingerprint: value}
-
-
-def fit_merge_stats(train: pd.DataFrame, cols: list[str]) -> MergeStats:
-    """Cluster training values by fingerprint; canonical = most frequent
-    variant (ties broken lexicographically for determinism)."""
-    stats = MergeStats()
+def fit_canonical(train: pd.DataFrame, cols: list[str]) -> dict[str, dict[str, str]]:
+    """``{column: {fingerprint: canonical value}}``: each cluster's most
+    frequent training variant, ties going to the lexicographically
+    smaller one for determinism."""
+    canonical = {}
     for c in cols:
         counts = train[c].dropna().astype(str).value_counts()
-        best: dict[str, tuple[int, str]] = {}
-        for value, n in counts.items():
-            fp = fingerprint(value)
-            cur = best.get(fp)
-            # Highest count wins; ties go to the lexicographically
-            # smaller variant for determinism.
-            if cur is None or (-int(n), value) < (-cur[0], cur[1]):
-                best[fp] = (int(n), value)
-        stats.canonical[c] = {fp: v for fp, (_, v) in best.items()}
-    return stats
+        canonical[c] = {}
+        for value, _ in sorted(counts.items(), key=lambda vn: (-vn[1], vn[0])):
+            canonical[c].setdefault(fingerprint(value), value)
+    return canonical
 
 
-def detect_inconsistent_pandas(
-    pdf: pd.DataFrame, stats: MergeStats, cols: list[str]
-) -> pd.Series:
-    """Row mask: value differs from its cluster's canonical form."""
-    mask = pd.Series(False, index=pdf.index)
-    for c in cols:
-        canon = stats.canonical[c]
-        vals = pdf[c].astype(str)
-        mapped = vals.map(lambda v: canon.get(fingerprint(v), v))
-        mask |= mapped != vals
-    return mask
-
-
-def merge_pandas(pdf: pd.DataFrame, stats: MergeStats, cols: list[str]) -> pd.DataFrame:
-    """Replace every variant by its canonical representation."""
-    out = pdf.copy()
-    for c in cols:
-        canon = stats.canonical[c]
-        out[c] = out[c].map(
-            lambda v: canon.get(fingerprint(v), v) if pd.notna(v) else v
-        )
-    return out
+def detect_inconsistencies(frame: pd.DataFrame, canonical: dict) -> tuple[pd.DataFrame, dict]:
+    """Boolean cell mask over ``canonical``'s columns, True for every
+    non-missing value that differs from its canonical form, and those
+    canonical values per column (the merge's fill)."""
+    mask, fill = {}, {}
+    for c, canon in canonical.items():
+        col = frame[c]
+        fill[c] = col.map(lambda v: canon.get(fingerprint(v), v))
+        mask[c] = col.notna() & (fill[c] != col)
+    return pd.DataFrame(mask, index=frame.index), fill

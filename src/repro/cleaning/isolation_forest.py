@@ -76,6 +76,7 @@ class IsolationForest:
         train_scores = self.score(X)
         # Threshold at the (1 - contamination) quantile of train scores.
         self.threshold_ = float(np.quantile(train_scores, 1.0 - self.contamination))
+        self.train_outlier_ = train_scores > self.threshold_
         return self
 
     def score(self, X: np.ndarray) -> np.ndarray:

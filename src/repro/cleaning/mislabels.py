@@ -1,10 +1,10 @@
-"""Mislabel injection and repair (paper §3.1.5).
+"""Mislabel injection and detection (paper §3.1.5).
 
 Mislabels are *injected* with known ground truth (the paper does the
 same — no real dataset with labelled label-noise exists), following
 García et al.'s protocol: uniform class noise (flip 5 % in each class)
-or pairwise class noise (flip 5 % of one class only). Repair flips the
-corrupted labels back using the ground-truth column.
+or pairwise class noise (flip 5 % of one class only). Detection reads
+the ground-truth column; ``cleaning.repair.impute`` flips labels back.
 """
 from __future__ import annotations
 
@@ -45,13 +45,8 @@ def inject_mislabels(
     return out
 
 
-def detect_mislabels_pandas(pdf: pd.DataFrame, label: str) -> pd.Series:
-    """Ground-truth detection: label differs from the truth column."""
-    return pdf[label] != pdf[TRUE_LABEL]
-
-
-def repair_mislabels_pandas(pdf: pd.DataFrame, label: str) -> pd.DataFrame:
-    """Flip corrupted labels back to the ground truth."""
-    out = pdf.copy()
-    out[label] = out[TRUE_LABEL]
-    return out
+def detect_mislabels(frame: pd.DataFrame, label: str) -> tuple[pd.DataFrame, dict]:
+    """Boolean cell mask over the ``label`` column, True where the label
+    differs from the ground truth, and the true labels as its fill."""
+    truth = frame[TRUE_LABEL]
+    return (frame[label] != truth).to_frame(label), {label: truth}

@@ -31,20 +31,28 @@ IF_CONTAMINATION = 0.01
 @dataclass(frozen=True)
 class OutlierDetector:
     """A detector fitted on the training set: per-column SD/IQR bounds,
-    or the isolation forest (IF)."""
+    or the isolation forest (IF), and its mask of the training set."""
 
     numeric: list
     bounds: dict  # col -> (lo, hi), SD/IQR
     forest: IsolationForest | None  # IF
+    train_cells: pd.DataFrame
 
     def cells(self, frame: pd.DataFrame) -> pd.DataFrame:
         """Boolean mask frame over the numeric columns: True = outlier cell."""
-        if self.forest is None:
-            flags = {c: (frame[c] < lo) | (frame[c] > hi) for c, (lo, hi) in self.bounds.items()}
-        else:
+        rows = None
+        if self.forest is not None:
             rows = self.forest.predict_outlier(_numeric_matrix(frame, self.numeric))
-            flags = dict.fromkeys(self.numeric, rows)
-        return pd.DataFrame(flags, index=frame.index, columns=self.numeric)
+        return _mask(frame, self.numeric, self.bounds, rows)
+
+
+def _mask(frame: pd.DataFrame, numeric: list, bounds: dict, rows: np.ndarray | None):
+    """Cells outside their column's bounds, or all cells of IF's ``rows``."""
+    if rows is None:
+        flags = {c: (frame[c] < lo) | (frame[c] > hi) for c, (lo, hi) in bounds.items()}
+    else:
+        flags = dict.fromkeys(numeric, rows)
+    return pd.DataFrame(flags, index=frame.index, columns=numeric)
 
 
 def _numeric_matrix(pdf: pd.DataFrame, numeric: list[str]) -> np.ndarray:
@@ -59,8 +67,9 @@ def fit_outlier_detector(
     train: pd.DataFrame, numeric: list[str], detect: str, *, seed: int
 ) -> OutlierDetector:
     """Fit bounds (SD/IQR) or the isolation forest (IF, seeded by ``seed``)
-    on the train set."""
-    bounds, forest = {}, None
+    on the train set, and mask it; the IF's mask reuses the scores that
+    set its threshold."""
+    bounds, forest, rows = {}, None, None
     if detect in ("SD", "IQR"):
         for c in numeric:
             col = train[c].dropna()
@@ -77,6 +86,7 @@ def fit_outlier_detector(
     elif detect == "IF":
         X = _numeric_matrix(train, numeric)
         forest = IsolationForest(contamination=IF_CONTAMINATION, seed=seed).fit(X)
+        rows = forest.train_outlier_
     else:
         raise KeyError(f"unknown detector {detect!r}")
-    return OutlierDetector(list(numeric), bounds, forest)
+    return OutlierDetector(list(numeric), bounds, forest, _mask(train, numeric, bounds, rows))

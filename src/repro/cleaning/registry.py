@@ -15,7 +15,7 @@ from repro.cleaning import inconsistencies as inc
 from repro.cleaning import missing as mv
 from repro.cleaning import outliers as out
 from repro.cleaning.duplicates import detect_duplicates
-from repro.cleaning.mislabels import repair_mislabels_pandas
+from repro.cleaning.mislabels import detect_mislabels
 from repro.cleaning.repair import delete_rows, impute, inlier_stats
 from repro.datasets.base import DatasetSpec
 
@@ -49,10 +49,6 @@ class CleaningMethod:
     repair: str
 
     @property
-    def name(self) -> str:
-        return f"{self.error_type}:{self.detect}:{self.repair}"
-
-    @property
     def label(self) -> str:
         """The method's training-version and test-variant label in the
         results (missing values have one detector, so the repair alone)."""
@@ -66,8 +62,8 @@ def methods_for(error_type: str) -> tuple[CleaningMethod, ...]:
 
     For missing values the ``delete`` repair is the comparison baseline
     (case "B" in Table 5) rather than a cleaning method under test, so
-    it is not returned here; the runner adds the deletion version as
-    the "before" side.
+    it is not returned here; ``clean_versions`` builds the deletion
+    version as the "before" side.
     """
     if error_type not in _TABLE2:
         raise KeyError(f"unknown error type {error_type!r}")
@@ -84,15 +80,15 @@ def clean_versions(
     test: pd.DataFrame,
     *,
     seed: int = 0,
-) -> list[tuple[CleaningMethod, pd.DataFrame, pd.DataFrame]]:
-    """``(method, cleaned train, cleaned test)`` for every method of
-    ``methods_for(error_type)``, in its order.
+) -> tuple[pd.DataFrame, list[tuple[CleaningMethod, pd.DataFrame, pd.DataFrame]]]:
+    """The baseline training version, and ``(method, cleaned train,
+    cleaned test)`` for every method of ``methods_for(error_type)``, in order.
 
     Each detector is fitted once on the dirty ``train`` (§4.1 step 2;
-    ``seed`` seeds the isolation forest) and run once on each frame,
-    and its repairs share the two cell masks: row deletion, or
-    imputation with values fitted on ``train``. Inconsistencies and
-    mislabels clean each frame with their own merge and flip.
+    ``seed`` seeds the isolation forest) and masks each frame once; its
+    repairs share the two masks: row deletion, or imputation with values
+    fitted on ``train``. The baseline is ``train``, or for missing values
+    its deletion version from the same mask.
     """
     methods = methods_for(error_type)
     frames = (train, test)
@@ -100,12 +96,13 @@ def clean_versions(
     if error_type == "missing_values":
         masks = [mv.detect_missing(f, numeric + categorical) for f in frames]
         fills = mv.fit_imputations(train, masks[0], numeric, categorical)
-        return [(m, *map(partial(impute, fill=fills[m.repair]), frames, masks)) for m in methods]
+        versions = [(m, *map(partial(impute, fill=fills[m.repair]), frames, masks)) for m in methods]
+        return delete_rows(train, masks[0]), versions
     if error_type == "outliers":
         versions = []
         for detect in OUTLIER_DETECTORS:
             detector = out.fit_outlier_detector(train, numeric, detect, seed=seed)
-            masks = [detector.cells(f) for f in frames]
+            masks = [detector.train_cells, detector.cells(test)]
             repairs = {"delete": delete_rows} | {
                 f"impute_{stat}": partial(impute, fill=fill)
                 for stat, fill in inlier_stats(train, masks[0]).items()
@@ -113,13 +110,13 @@ def clean_versions(
             versions += [
                 (m, *map(repairs[m.repair], frames, masks)) for m in methods if m.detect == detect
             ]
-        return versions
+        return train, versions
     if error_type == "duplicates":
         masks = [detect_duplicates(f, list(spec.key_cols)) for f in frames]
-        return [(methods[0], *map(delete_rows, frames, masks))]
+        return train, [(methods[0], *map(delete_rows, frames, masks))]
     if error_type == "inconsistencies":
-        cols = list(spec.inconsistent_cols)
-        clean = partial(inc.merge_pandas, stats=inc.fit_merge_stats(train, cols), cols=cols)
+        canonical = inc.fit_canonical(train, list(spec.inconsistent_cols))
+        detected = [inc.detect_inconsistencies(f, canonical) for f in frames]
     else:  # mislabels
-        clean = partial(repair_mislabels_pandas, label=spec.label)
-    return [(methods[0], clean(train), clean(test))]
+        detected = [detect_mislabels(f, spec.label) for f in frames]
+    return train, [(methods[0], *(impute(f, *d) for f, d in zip(frames, detected)))]

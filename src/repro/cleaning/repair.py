@@ -13,7 +13,8 @@ def delete_rows(frame: pd.DataFrame, mask: pd.DataFrame) -> pd.DataFrame:
 
 
 def impute(frame: pd.DataFrame, mask: pd.DataFrame, fill: dict) -> pd.DataFrame:
-    """Replace each flagged cell by its column's ``fill`` value."""
+    """Replace each flagged cell by its column's ``fill``: a scalar, or a
+    Series aligned on ``frame``'s index giving each cell its own value."""
     out = frame.copy()
     for c in mask.columns:
         out[c] = out[c].mask(mask[c], fill[c])

@@ -18,9 +18,7 @@ import zlib
 import numpy as np
 import pandas as pd
 
-from repro.cleaning.missing import detect_missing
 from repro.cleaning.registry import clean_versions, methods_for
-from repro.cleaning.repair import delete_rows
 from repro.core.protocol import Protocol
 from repro.core.schema import BASELINE_METHODS, DIRTY, RESULT_COLUMNS, baseline_for, scenarios_for
 from repro.datasets.base import DatasetSpec
@@ -58,14 +56,10 @@ def build_versions(
     Cleaning statistics are fitted on the dirty training set only and
     reused for the test set (§4.1 step 2, no leakage).
     """
-    baseline = baseline_for(error_type)
-    train_versions = {
-        baseline: train
-        if baseline == DIRTY
-        else delete_rows(train, detect_missing(train, list(spec.feature_cols)))
-    }
+    baseline, versions = clean_versions(spec, error_type, train, test, seed=seed)
+    train_versions = {baseline_for(error_type): baseline}
     test_variants = {DIRTY: test} if "CD" in scenarios_for(error_type) else {}
-    for method, train_v, test_v in clean_versions(spec, error_type, train, test, seed=seed):
+    for method, train_v, test_v in versions:
         train_versions[method.label] = train_v
         test_variants[method.label] = test_v
     return train_versions, test_variants

@@ -4,20 +4,10 @@ import pandas as pd
 import pytest
 
 from repro.cleaning.duplicates import detect_duplicates
-from repro.cleaning.inconsistencies import (
-    fingerprint,
-    fit_merge_stats,
-    detect_inconsistent_pandas,
-    merge_pandas,
-)
-from repro.cleaning.mislabels import (
-    TRUE_LABEL,
-    detect_mislabels_pandas,
-    inject_mislabels,
-    repair_mislabels_pandas,
-)
-from repro.cleaning.registry import ERROR_TYPES, CleaningMethod, methods_for
-from repro.cleaning.repair import delete_rows
+from repro.cleaning.inconsistencies import detect_inconsistencies, fingerprint, fit_canonical
+from repro.cleaning.mislabels import TRUE_LABEL, detect_mislabels, inject_mislabels
+from repro.cleaning.registry import ERROR_TYPES, methods_for
+from repro.cleaning.repair import delete_rows, impute
 from repro.oracle import assert_equivalent
 
 
@@ -33,6 +23,10 @@ def dup_frame():
 
 def dedup(pdf, key_cols):
     return delete_rows(pdf, detect_duplicates(pdf, key_cols))
+
+
+def merge(pdf, canonical):
+    return impute(pdf, *detect_inconsistencies(pdf, canonical))
 
 
 class TestDuplicates:
@@ -71,29 +65,38 @@ class TestInconsistencies:
 
     def test_merge_to_most_frequent(self):
         pdf = pd.DataFrame({"c": ["English", "English", "english!", "en"]})
-        stats = fit_merge_stats(pdf, ["c"])
-        out = merge_pandas(pdf, stats, ["c"])
+        out = merge(pdf, fit_canonical(pdf, ["c"]))
         assert (out.c[:3] == "English").all()
         assert out.c[3] == "en"  # different fingerprint, untouched
 
     def test_detect_counts_variants(self):
         pdf = pd.DataFrame({"c": ["A b", "a B!", "zzz"]})
-        stats = fit_merge_stats(pdf, ["c"])
-        mask = detect_inconsistent_pandas(pdf, stats, ["c"])
-        assert mask.sum() == 1  # exactly one of the two variants differs
+        mask, _ = detect_inconsistencies(pdf, fit_canonical(pdf, ["c"]))
+        assert mask.c.sum() == 1  # exactly one of the two variants differs
 
     def test_unseen_test_variant_resolved_by_fingerprint(self):
         train = pd.DataFrame({"c": ["New York", "New York", "new york"]})
-        stats = fit_merge_stats(train, ["c"])
         test = pd.DataFrame({"c": ["NEW YORK!!"]})
-        out = merge_pandas(test, stats, ["c"])
+        out = merge(test, fit_canonical(train, ["c"]))
         assert out.c[0] == "New York"
 
     def test_nan_preserved(self):
         train = pd.DataFrame({"c": ["a", "a", None]})
-        stats = fit_merge_stats(train, ["c"])
-        out = merge_pandas(train, stats, ["c"])
+        out = merge(train, fit_canonical(train, ["c"]))
         assert out.c.isna().sum() == 1
+
+    def test_mask_flags_exactly_the_variants(self):
+        """Missing cells and canonical values are never flagged; every
+        variant is, including one seen only in test, and a tie goes to
+        the lexicographically smaller variant."""
+        train = pd.DataFrame({"c": ["New York", "new york", "New York", "boston", None, "Boston"]})
+        canonical = fit_canonical(train, ["c"])
+        test = pd.DataFrame({"c": ["NEW YORK!!", None, "New York", "Boston", "boston", "chicago"]})
+        mask, fill = detect_inconsistencies(test, canonical)
+        assert mask.c.tolist() == [True, False, False, False, True, False]
+        assert fill["c"][mask.c].tolist() == ["New York", "Boston"]
+        mask, _ = detect_inconsistencies(train, canonical)
+        assert mask.c.tolist() == [False, True, False, True, False, False]
 
 
 @pytest.fixture
@@ -129,13 +132,19 @@ class TestMislabels:
 
     def test_detect_finds_exactly_flips(self, labeled):
         out = inject_mislabels(labeled, "y", variant="uniform", seed=2)
-        mask = detect_mislabels_pandas(out, "y")
-        assert mask.sum() == (out.y != out[TRUE_LABEL]).sum() > 0
+        mask, _ = detect_mislabels(out, "y")
+        assert mask.y.sum() == (out.y != out[TRUE_LABEL]).sum() > 0
 
     def test_repair_restores_truth(self, labeled):
         out = inject_mislabels(labeled, "y", variant="uniform", seed=3)
-        fixed = repair_mislabels_pandas(out, "y")
+        fixed = impute(out, *detect_mislabels(out, "y"))
         assert (fixed.y == fixed[TRUE_LABEL]).all()
+
+    def test_flip_restores_labels_before_injection(self, labeled):
+        flipped = inject_mislabels(labeled, "y", variant="major", seed=4)
+        fixed = impute(flipped, *detect_mislabels(flipped, "y"))
+        pd.testing.assert_series_equal(fixed.y, labeled.y)
+        assert list(fixed.columns) == ["x", "y", TRUE_LABEL]
 
     def test_injection_deterministic(self, labeled):
         a = inject_mislabels(labeled, "y", variant="uniform", seed=5)
@@ -163,10 +172,6 @@ class TestRegistry:
     )
     def test_single_method_errors(self, error):
         assert len(methods_for(error)) == 1
-
-    def test_method_name(self):
-        m = CleaningMethod("outliers", "SD", "delete")
-        assert m.name == "outliers:SD:delete"
 
     def test_unknown_error_type(self):
         with pytest.raises(KeyError):

@@ -158,6 +158,16 @@ class TestIsolationForest:
         assert rows[5:].sum() <= 1
 
 
+@pytest.mark.parametrize("detect", ["SD", "IQR", "IF"])
+def test_train_cells_are_cells_of_train(frame, detect):
+    """The mask a detector keeps from its fit is the one ``cells`` gives
+    the training frame (for IF, from the scores that set its threshold)."""
+    frame.loc[7, "b"] = np.nan
+    s = fit_outlier_detector(frame, ["a", "b"], detect, seed=0)
+    pd.testing.assert_frame_equal(s.train_cells, s.cells(frame))
+    assert s.train_cells.to_numpy().any()
+
+
 class TestRepairs:
     @pytest.mark.parametrize("detect", ["SD", "IQR"])
     def test_delete_removes_flagged_rows(self, frame, detect):

@@ -172,7 +172,7 @@ class TestLayout:
         [
             ("outliers", outliers, "fit_outlier_detector", 3),
             ("missing_values", missing, "fit_imputations", 1),
-            ("inconsistencies", inconsistencies, "fit_merge_stats", 1),
+            ("inconsistencies", inconsistencies, "fit_canonical", 1),
         ],
     )
     def test_fits_once_per_detector(self, monkeypatch, error, module, fit, n_fits):
@@ -190,9 +190,10 @@ class TestLayout:
         assert len(calls) == n_fits
 
     def test_detects_once_per_frame(self, monkeypatch):
-        """An outliers unit runs each of its 3 detectors once on train and
-        once on test, and scores the isolation forest for its threshold,
-        train and test, however many repairs share the masks."""
+        """An outliers unit masks train with each of its 3 detectors while
+        fitting it, and runs each once on test: the isolation forest
+        scores train once (its threshold and its mask share the scores)
+        and test once, however many repairs share the masks."""
         calls = {"cells": 0, "score": 0}
 
         def counted(cls, name):
@@ -207,7 +208,23 @@ class TestLayout:
         counted(outliers.OutlierDetector, "cells")
         counted(IsolationForest, "score")
         _versions(LAYOUT_DATASET["outliers"], "outliers")
-        assert calls == {"cells": 6, "score": 3}
+        assert calls == {"cells": 3, "score": 2}
+
+    def test_missing_values_detect_once_per_frame(self, monkeypatch):
+        """The deletion baseline reuses the imputations' training mask:
+        one missing-values split detects train once and test once."""
+        calls = []
+        real = missing.detect_missing
+
+        def counted(frame, cols):
+            calls.append(len(frame))
+            return real(frame, cols)
+
+        monkeypatch.setattr(missing, "detect_missing", counted)
+        monkeypatch.setattr("repro.core.runner.detect_missing", counted, raising=False)
+        train, test = split_frame(load_dataset("Titanic"), 3, 0.3)
+        build_versions(spec_for("Titanic"), "missing_values", train, test)
+        assert calls == [len(train), len(test)]
 
 
 class TestRunUnit:
