@@ -1,6 +1,9 @@
 """Golden tests: the committed results/R{1,2,3}.csv (FULL protocol) are
 the reference that any change to the grid or the relations must
-reproduce to floating-point noise."""
+reproduce to floating-point noise. Split 100's cleaned versions and
+fitted tree models are pinned by digest; ``python tests/test_golden.py``
+re-records both digest files."""
+import hashlib
 import json
 from pathlib import Path
 
@@ -8,6 +11,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from repro.cleaning.outliers import fit_outlier_detector
 from repro.cleaning.registry import ERROR_TYPES
 from repro.core.harness import run_grid
 from repro.core.protocol import FULL
@@ -15,8 +19,10 @@ from repro.core.queries import register_relations
 from repro.core.relations import _apply_by_and_flags, build_relations
 from repro.core.report import table15_markdown
 from repro.core.runner import _unit_seed, build_versions, split_frame
-from repro.core.schema import R1_KEY, R2_KEY, R3_KEY
+from repro.core.schema import DIRTY, R1_KEY, R2_KEY, R3_KEY
 from repro.datasets.registry import datasets_with_error, load_dataset, spec_for
+from repro.ml.features import Featurizer, downsample_majority
+from repro.ml.models import make_model, sample_params
 
 ROOT = Path(__file__).resolve().parents[1]
 RESULTS = ROOT / "results"
@@ -24,6 +30,10 @@ KEYS = {"R1": R1_KEY, "R2": R2_KEY, "R3": R3_KEY}
 RAW = ["mean_before", "mean_after", "mean_diff", "p_two", "p_upper", "p_lower"]
 TOL = 1e-12
 VERSIONS = Path(__file__).with_name("golden_versions.json")
+TREES = Path(__file__).with_name("golden_trees.json")
+# Numeric-only, imbalanced, categorical and text features.
+TREE_DATASETS = ("EEG", "Credit", "Airbnb", "USCensus", "Movie")
+TREE_MODELS = ("decision_tree", "random_forest", "adaboost", "xgboost")
 
 
 def _committed(name: str) -> pd.DataFrame:
@@ -102,9 +112,61 @@ def test_cleaned_versions_unchanged():
     assert _version_digests() == json.loads(VERSIONS.read_text())
 
 
+def _hash_tree(h, tree) -> None:
+    for a in (tree.feat, tree.thr, tree.left, tree.right, tree.value, tree.roots):
+        h.update(a.dtype.str.encode())
+        h.update(np.ascontiguousarray(a).tobytes())
+
+
+def _tree_digests(split_seed: int = 100) -> dict:
+    """SHA-256 per (model, dataset) over two random-search draws' fitted
+    trees and test predictions, trained on split 100's dirty training
+    set as ``run_unit`` featurizes it; and per outlier dataset over the
+    isolation forest ``run_unit`` grows: its trees, threshold and train
+    flags."""
+    out = {}
+    for name in TREE_DATASETS:
+        spec = spec_for(name)
+        train, test = split_frame(load_dataset(name), split_seed, FULL.test_frac)
+        if spec.imbalanced:
+            train = downsample_majority(train, spec.label, _unit_seed(name, split_seed, DIRTY))
+        feat = Featurizer(
+            numeric=list(spec.numeric), categorical=list(spec.categorical), text=list(spec.text)
+        ).fit(train)
+        X, Xt = feat.transform(train), feat.transform(test)
+        y = train[spec.label].to_numpy(dtype=np.int64)
+        for model in TREE_MODELS:
+            rng = np.random.default_rng(split_seed)
+            h = hashlib.sha256()
+            for _ in range(2):
+                fitted = make_model(model, sample_params(model, rng), seed=split_seed).fit(X, y)
+                _hash_tree(h, fitted.tree_ if model == "decision_tree" else fitted.trees_)
+                h.update(fitted.predict(Xt).tobytes())
+            out[f"{model}/{name}"] = h.hexdigest()
+    for name in datasets_with_error("outliers"):
+        spec = spec_for(name)
+        train, _ = split_frame(load_dataset(name), split_seed, FULL.test_frac)
+        seed = _unit_seed(name, split_seed, "if")
+        forest = fit_outlier_detector(train, list(spec.numeric), "IF", seed=seed).forest
+        h = hashlib.sha256()
+        _hash_tree(h, forest.trees_)
+        h.update(np.float64(forest.threshold_).tobytes())
+        h.update(forest.train_outlier_.tobytes())
+        out[f"isolation_forest/{name}"] = h.hexdigest()
+    return out
+
+
+def test_tree_models_unchanged():
+    """DT, RF, AdaBoost and XGBoost-lite fits on five datasets, and the
+    isolation forest on every outlier dataset, hash as recorded: tree
+    arrays and their dtypes, test predictions, IF threshold and flags."""
+    assert _tree_digests() == json.loads(TREES.read_text())
+
+
 if __name__ == "__main__":  # re-record after a change meant to move them
     pairs = (
         f" {json.dumps(k)}: [\n" + ",\n".join(f"  {json.dumps(e)}" for e in v) + "]"
         for k, v in _version_digests().items()
     )
     VERSIONS.write_text("{\n" + ",\n".join(pairs) + "\n}\n")
+    TREES.write_text(json.dumps(_tree_digests(), indent=1) + "\n")
