@@ -30,7 +30,8 @@ def main(spark, protocol_name: str, out_dir: str, errors=None) -> dict:
 
     results = run_grid(spark, protocol, error_types).cache()
     path = os.path.join(out_dir, "results.parquet")
-    results.write.mode("overwrite").parquet(path)
+    # A few part files, not one per unit: the grid has one partition per unit.
+    results.coalesce(spark.sparkContext.defaultParallelism).write.mode("overwrite").parquet(path)
     n_rows, n_read = results.count(), spark.read.parquet(path).count()
     if n_read != n_rows:
         raise RuntimeError(f"{path}: read back {n_read} rows, wrote {n_rows}")

@@ -4,13 +4,15 @@
 Random axis-aligned splits isolate anomalies in short paths; the
 anomaly score is 2^(-E[h(x)] / c(n)) with c(n) the average unsuccessful
 BST search length. ``contamination`` sets the decision threshold at the
-matching quantile of the training scores, as scikit-learn does.
+matching quantile of the training scores, as scikit-learn does. The
+trees are ``ml.tree`` trees: ``grow_tree`` grows each one with the
+isolation rule of :func:`_grow`, and one ``tree_apply`` scores the forest.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from repro.ml.tree import Tree, _Builder, stack_trees, tree_apply
+from repro.ml.tree import Tree, grow_tree, stack_trees, tree_apply
 
 
 def _c(n: float) -> float:
@@ -21,30 +23,22 @@ def _c(n: float) -> float:
 
 
 def _grow(X: np.ndarray, rng: np.random.Generator, limit: int) -> Tree:
-    """One isolation tree over the rows of ``X``, depth-first, left before
-    right. A leaf's value is its path length, depth + c(size). A row goes
-    left when its value is below the split; ``tree_apply`` goes left at
-    ``<=``, so the stored threshold is the float just below the split."""
-    out = _Builder(X)
+    """One isolation tree over the rows of ``X``: a leaf holds its path
+    length, depth + c(size), an inner node 0. A row goes left below the
+    split, so the threshold for ``<=`` routing is the float just below it."""
 
-    def grow(idx: np.ndarray, depth: int) -> int:
+    def isolate(idx: np.ndarray, depth: int):
         if depth >= limit or idx.size <= 1:
-            return out.leaf(idx, depth + _c(idx.size))
+            return depth + _c(idx.size), None, None
         f = int(rng.integers(0, X.shape[1]))
         col = X[idx, f]
         lo, hi = col.min(), col.max()
         if lo == hi:
-            return out.leaf(idx, depth + _c(idx.size))
+            return depth + _c(idx.size), None, None
         split = float(rng.uniform(lo, hi))
-        mask = col < split
-        node = out.node(0.0)
-        out.feat[node], out.thr[node] = f, np.nextafter(split, -np.inf)
-        out.left[node] = grow(idx[mask], depth + 1)
-        out.right[node] = grow(idx[~mask], depth + 1)
-        return node
+        return 0.0, f, np.nextafter(split, -np.inf)
 
-    grow(np.arange(X.shape[0]), 0)
-    return out.tree()
+    return grow_tree(X, isolate)
 
 
 class IsolationForest:

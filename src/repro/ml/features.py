@@ -104,9 +104,6 @@ class Featurizer:
             return np.zeros((n, 0), dtype=np.float64)
         return np.hstack(blocks)
 
-    def fit_transform(self, df: pd.DataFrame) -> np.ndarray:
-        return self.fit(df).transform(df)
-
 
 def downsample_majority(df: pd.DataFrame, label: str, seed: int) -> pd.DataFrame:
     """Downsample the majority class to the minority-class size.

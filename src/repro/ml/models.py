@@ -15,9 +15,9 @@ XGBoost algorithm — since the xgboost package is unavailable offline.
 The four tree models share ``ml.tree``: each bins its training matrix
 once per fit, and each ensemble stacks its trees into one flat ``Tree``
 when the fit ends, so predicting is one ``tree_apply`` call. AdaBoost and
-XGBoost-lite take each new tree's training-set predictions from the
-grower (``Tree.fitted``) instead of applying the tree to the training
-matrix again.
+XGBoost-lite take each new tree's training-set predictions from
+``grow_tree``'s leaf partition (``Tree.fitted``) instead of applying the
+tree to the training matrix again.
 """
 from __future__ import annotations
 

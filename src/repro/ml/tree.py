@@ -12,12 +12,12 @@ KDD 2016) and LightGBM (Ke et al., NeurIPS 2017). Supports:
 * second-order "Newton" regression trees on gradient/hessian pairs
   (the XGBoost-lite booster).
 
-Trees are flat arrays (:class:`Tree`), grown depth-first so that a random
-forest draws its per-node feature subsets in the same order as a
-recursive grower would. An ensemble stacks its trees into one ``Tree``,
-and :func:`tree_apply` routes every row through every stacked tree level
-by level in one call. The isolation forest grows the same trees on
-float64 values.
+Trees are flat arrays (:class:`Tree`). :func:`grow_tree` is the one
+grower, for these and for the isolation forest's trees on float64
+values: it stores the nodes and routes rows, and each tree kind gives it
+only a per-node split rule. An ensemble stacks its trees into one
+``Tree``, and :func:`tree_apply` routes every row through every stacked
+tree level by level in one call.
 """
 from __future__ import annotations
 
@@ -32,12 +32,11 @@ N_BINS = 32
 class Binner:
     """Quantile binning fitted on train data; maps floats to uint8 bins."""
 
-    def __init__(self, n_bins: int = N_BINS):
-        self.n_bins = n_bins
+    def __init__(self):
         self.edges_: list[np.ndarray] = []
 
     def fit(self, X: np.ndarray) -> "Binner":
-        qs = np.linspace(0, 1, self.n_bins + 1)[1:-1]
+        qs = np.linspace(0, 1, N_BINS + 1)[1:-1]
         quantiles = np.quantile(X, qs, axis=0)
         self.edges_ = [np.unique(quantiles[:, j]) for j in range(X.shape[1])]
         return self
@@ -62,7 +61,7 @@ class Tree:
     children are -1) and ``value[i]`` is the node's prediction. Each
     tree's nodes are contiguous and in depth-first (pre-)order, starting
     at its entry in ``roots``. ``fitted`` holds, for a tree just grown,
-    the leaf value of each training row, read off the grower's own
+    the leaf value of each training row, read off :func:`grow_tree`'s own
     partition; it is None for stacked trees.
     """
 
@@ -75,40 +74,48 @@ class Tree:
     fitted: np.ndarray | None = None
 
 
-class _Builder:
-    """Collects the nodes of one tree grown on ``B`` in creation order."""
+def grow_tree(M: np.ndarray, split) -> Tree:
+    """Grow one tree on the rows of ``M``, depth-first, left before right.
 
-    def __init__(self, B: np.ndarray):
-        self.feat: list[int] = []
-        self.thr: list = []
-        self.left: list[int] = []
-        self.right: list[int] = []
-        self.value: list[float] = []
-        self.fitted = np.empty(B.shape[0], dtype=np.float64)
-        self.thr_dtype = B.dtype
+    ``split(idx, depth)`` is the tree kind's rule for a node holding rows
+    ``idx``: it returns ``(value, feat, thr)``, the node's value and its
+    split, which sends a row left when ``M[row, feat] <= thr``; ``feat``
+    None makes the node a leaf. Nodes are stored in the order they are
+    created, so a rule's random draws follow the same order.
+    """
+    feat: list[int] = []
+    thr: list = []
+    left: list[int] = []
+    right: list[int] = []
+    value: list[float] = []
+    fitted = np.empty(M.shape[0], dtype=np.float64)
 
-    def node(self, value: float) -> int:
-        self.feat.append(-1)
-        self.thr.append(0)
-        self.left.append(-1)
-        self.right.append(-1)
-        self.value.append(value)
-        return len(self.feat) - 1
+    def grow(idx: np.ndarray, depth: int) -> int:
+        v, f, t = split(idx, depth)
+        node = len(feat)
+        feat.append(-1 if f is None else f)
+        thr.append(0 if f is None else t)
+        left.append(-1)
+        right.append(-1)
+        value.append(v)
+        if f is None:
+            fitted[idx] = v
+        else:
+            mask = M[idx, f] <= t
+            left[node] = grow(idx[mask], depth + 1)
+            right[node] = grow(idx[~mask], depth + 1)
+        return node
 
-    def leaf(self, idx: np.ndarray, value: float) -> int:
-        self.fitted[idx] = value
-        return self.node(value)
-
-    def tree(self) -> Tree:
-        return Tree(
-            feat=np.array(self.feat, dtype=np.intp),
-            thr=np.array(self.thr, dtype=self.thr_dtype),
-            left=np.array(self.left, dtype=np.intp),
-            right=np.array(self.right, dtype=np.intp),
-            value=np.array(self.value, dtype=np.float64),
-            roots=np.zeros(1, dtype=np.intp),
-            fitted=self.fitted,
-        )
+    grow(np.arange(M.shape[0]), 0)
+    return Tree(
+        feat=np.array(feat, dtype=np.intp),
+        thr=np.array(thr, dtype=M.dtype),
+        left=np.array(left, dtype=np.intp),
+        right=np.array(right, dtype=np.intp),
+        value=np.array(value, dtype=np.float64),
+        roots=np.zeros(1, dtype=np.intp),
+        fitted=fitted,
+    )
 
 
 def _check_bins(B: np.ndarray, n_bins: int) -> None:
@@ -237,22 +244,20 @@ def fit_tree_classifier(
     """Grow a binary-classification CART on pre-binned features.
 
     Leaves store the weighted probability of class 1. ``max_features``
-    (with ``rng``) samples a feature subset per node for random forests;
-    nodes are visited depth-first, left before right, which fixes the
-    order of those draws.
+    (with ``rng``) samples a feature subset per node for random forests,
+    in :func:`grow_tree`'s node order.
     """
     _check_bins(B, n_bins)
     y = np.asarray(y, dtype=np.int64)
     w = np.ones(y.size, dtype=np.float64) if w is None else np.asarray(w, np.float64)
     d = B.shape[1]
-    out = _Builder(B)
 
-    def grow(idx: np.ndarray, depth: int) -> int:
+    def gini(idx: np.ndarray, depth: int):
         wb = w[idx]
         w_sum = wb.sum()
         p1 = float((wb * y[idx]).sum() / w_sum) if w_sum > 0 else 0.5
         if depth >= max_depth or idx.size < 2 * min_leaf or p1 in (0.0, 1.0):
-            return out.leaf(idx, p1)
+            return p1, None, None
         if max_features is not None and max_features < d:
             features = rng.choice(d, size=max_features, replace=False)
         else:
@@ -260,16 +265,10 @@ def fit_tree_classifier(
         parent = 2.0 * p1 * (1.0 - p1)
         score, feat, thr = _gini_best_split(B, y, w, idx, features, n_bins, min_leaf)
         if feat is None or parent - score < 1e-12:
-            return out.leaf(idx, p1)
-        node = out.node(p1)
-        mask = B[idx, feat] <= thr
-        out.feat[node], out.thr[node] = feat, thr
-        out.left[node] = grow(idx[mask], depth + 1)
-        out.right[node] = grow(idx[~mask], depth + 1)
-        return node
+            return p1, None, None
+        return p1, feat, thr
 
-    grow(np.arange(B.shape[0]), 0)
-    return out.tree()
+    return grow_tree(B, gini)
 
 
 def fit_tree_newton(
@@ -288,26 +287,17 @@ def fit_tree_newton(
     - G^2/(H+lam)); leaf weight is -G/(H+lam).
     """
     _check_bins(B, n_bins)
-    out = _Builder(B)
 
-    def grow(idx: np.ndarray, depth: int) -> int:
+    def newton(idx: np.ndarray, depth: int):
         G = float(grad[idx].sum())
         H = float(hess[idx].sum())
         value = -G / (H + lam)
         if depth >= max_depth or idx.size < 2 * min_leaf:
-            return out.leaf(idx, value)
+            return value, None, None
         _, feat, thr = _newton_best_split(B, grad, hess, idx, n_bins, min_leaf, lam, G, H)
-        if feat is None:
-            return out.leaf(idx, value)
-        node = out.node(value)
-        mask = B[idx, feat] <= thr
-        out.feat[node], out.thr[node] = feat, thr
-        out.left[node] = grow(idx[mask], depth + 1)
-        out.right[node] = grow(idx[~mask], depth + 1)
-        return node
+        return value, feat, thr
 
-    grow(np.arange(B.shape[0]), 0)
-    return out.tree()
+    return grow_tree(B, newton)
 
 
 def stack_trees(trees: list[Tree]) -> Tree:

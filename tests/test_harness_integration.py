@@ -132,6 +132,9 @@ class TestRunCleanmlJob:
         table = pq.read_table(tmp_path / "results.parquet")
         assert table.num_rows == 4 * SMOKE.n_splits * 2 * 3 * 1 * 2
         assert set(table.column("error_type").to_pylist()) == {"inconsistencies"}
+        # Coalesced: a few part files, not one per unit.
+        parts = list((tmp_path / "results.parquet").glob("part-*.parquet"))
+        assert 0 < len(parts) <= spark.sparkContext.defaultParallelism
         # R1: 4 datasets x 1 method x 3 models x 2 scenarios.
         assert len(relations["R1"]) == 24
         for name, pdf in relations.items():

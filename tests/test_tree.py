@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from repro.cleaning import isolation_forest
 from repro.ml.tree import (
     Binner,
     Tree,
@@ -234,6 +235,15 @@ class TestFitted:
         rng = np.random.default_rng(6)
         tree = fit_tree_newton(B, rng.normal(size=B.shape[0]), rng.random(B.shape[0]), max_depth=4)
         np.testing.assert_array_equal(tree.fitted, tree_apply(tree, B)[0])
+
+    def test_isolation_tree_on_floats(self):
+        # Rounded values tie, so some nodes hold one repeated value and
+        # stop early; thresholds are float64, not bins.
+        rng = np.random.default_rng(7)
+        X = np.round(rng.normal(size=(300, 3)), 1)
+        tree = isolation_forest._grow(X, rng, limit=12)
+        assert tree.thr.dtype == np.float64 and (tree.feat >= 0).sum() > 10
+        np.testing.assert_array_equal(tree.fitted, tree_apply(tree, X)[0])
 
     def test_stacked_trees_drop_fitted(self, blobs):
         X, y = blobs
