@@ -32,9 +32,7 @@ def main(spark, n_splits: int = 8) -> dict:
     print("s2: (EEG, outliers, IQR, mean imputation, BD)")
     print("s3: (EEG, outliers, BD)\n")
 
-    results = run_grid(
-        spark, protocol, error_types=("outliers",), datasets=("EEG",)
-    ).cache()
+    results = run_grid(spark, protocol, error_types=("outliers",), datasets=("EEG",))
 
     iqr_mean = results.where(
         f"split_seed = {protocol.split_seed0}"

@@ -28,7 +28,7 @@ def main(spark, protocol_name: str, out_dir: str, errors=None) -> dict:
     error_types = tuple(errors) if errors else ERROR_TYPES
     os.makedirs(out_dir, exist_ok=True)
 
-    results = run_grid(spark, protocol, error_types).cache()
+    results = run_grid(spark, protocol, error_types)
     path = os.path.join(out_dir, "results.parquet")
     # A few part files, not one per unit: the grid has one partition per unit.
     results.coalesce(spark.sparkContext.defaultParallelism).write.mode("overwrite").parquet(path)

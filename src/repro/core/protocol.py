@@ -15,14 +15,17 @@ from repro.ml.models import MODEL_NAMES
 
 @dataclass(frozen=True)
 class Protocol:
-    """All knobs of the CleanML §4 procedure."""
+    """The CleanML §4 procedure's knobs that differ between presets.
+
+    The fixed fractions are constants beside their one use: the 70/30
+    train/test split is ``core/runner.py::TEST_FRAC`` and the random
+    search's holdout is ``ml/search.py::VAL_FRAC``.
+    """
 
     n_splits: int = 20
     split_seed0: int = 100
     search_seeds: tuple[int, ...] = (8006, 6130, 5824, 3659, 3239)
     n_candidates: int = 3
-    val_frac: float = 0.25
-    test_frac: float = 0.30
     alpha: float = 0.05
     models: tuple[str, ...] = tuple(MODEL_NAMES)
 

@@ -28,12 +28,15 @@ from repro.ml.metrics import metric_fn
 from repro.ml.search import random_search
 
 
-def split_frame(pdf: pd.DataFrame, seed: int, test_frac: float):
+TEST_FRAC = 0.30
+
+
+def split_frame(pdf: pd.DataFrame, seed: int):
     """70/30 random split (paper §4.1 step 1), deterministic in seed."""
     rng = np.random.default_rng(seed)
     n = len(pdf)
     perm = rng.permutation(n)
-    n_test = int(round(test_frac * n))
+    n_test = int(round(TEST_FRAC * n))
     test_idx, train_idx = perm[:n_test], perm[n_test:]
     train = pdf.iloc[np.sort(train_idx)].reset_index(drop=True)
     test = pdf.iloc[np.sort(test_idx)].reset_index(drop=True)
@@ -78,7 +81,7 @@ def run_unit(
     """Execute one unit; returns long-format result rows."""
     spec = spec_for(dataset)
     pdf = load_dataset(dataset)
-    train, test = split_frame(pdf, split_seed, protocol.test_frac)
+    train, test = split_frame(pdf, split_seed)
     train_versions, test_variants = build_versions(
         spec, error_type, train, test, seed=_unit_seed(dataset, split_seed, "if")
     )
@@ -107,18 +110,17 @@ def run_unit(
         }
         for model_name in protocol.models:
             for search_seed in protocol.search_seeds:
-                result = random_search(
+                model, val_score = random_search(
                     model_name,
                     X,
                     y,
                     seed=search_seed + _unit_seed(dataset, split_seed, version) % 9973,
                     n_candidates=protocol.n_candidates,
-                    val_frac=protocol.val_frac,
                     metric=metric,
                 )
                 score = metric_fn(metric)
                 for variant, (Xt, yt) in tests.items():
-                    pred = result.model.predict(Xt)
+                    pred = model.predict(Xt)
                     rows.append(
                         {
                             "dataset": dataset,
@@ -130,7 +132,7 @@ def run_unit(
                             "model": model_name,
                             "search_seed": int(search_seed),
                             "test_variant": variant,
-                            "val_metric": float(result.val_score),
+                            "val_metric": val_score,
                             "test_metric": float(score(yt, pred)),
                         }
                     )

@@ -6,20 +6,3 @@ deterministic mechanism that reproduces the paper's schema, task,
 class balance and error profile; see DESIGN.md §2 for the substitution
 argument and each module's docstring for the mechanism.
 """
-from repro.datasets.base import DatasetSpec
-from repro.datasets.registry import (
-    DATASETS,
-    dataset_names,
-    datasets_with_error,
-    load_dataset,
-    spec_for,
-)
-
-__all__ = [
-    "DatasetSpec",
-    "DATASETS",
-    "dataset_names",
-    "datasets_with_error",
-    "load_dataset",
-    "spec_for",
-]

@@ -38,10 +38,6 @@ class DatasetSpec:
     def metric(self) -> str:
         return "f1" if self.imbalanced else "accuracy"
 
-    @property
-    def feature_cols(self) -> tuple[str, ...]:
-        return self.numeric + self.categorical + self.text
-
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-np.clip(z, -30, 30)))

@@ -76,10 +76,6 @@ def _build() -> dict[str, DatasetSpec]:
 DATASETS: dict[str, DatasetSpec] = _build()
 
 
-def dataset_names() -> tuple[str, ...]:
-    return tuple(DATASETS)
-
-
 def spec_for(name: str) -> DatasetSpec:
     return DATASETS[name]
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import pandas as pd
 
+TEXT_DIMS = 32  # hashed tf-idf width per text column
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
 
@@ -22,9 +23,9 @@ def _tokens(text: str) -> list[str]:
     return _TOKEN_RE.findall(str(text).lower())
 
 
-def _hash_token(tok: str, dims: int) -> int:
+def _hash_token(tok: str) -> int:
     # zlib.crc32 is stable across processes (unlike Python's hash()).
-    return zlib.crc32(tok.encode("utf-8")) % dims
+    return zlib.crc32(tok.encode("utf-8")) % TEXT_DIMS
 
 
 @dataclass
@@ -40,7 +41,6 @@ class Featurizer:
     numeric: list[str] = field(default_factory=list)
     categorical: list[str] = field(default_factory=list)
     text: list[str] = field(default_factory=list)
-    text_dims: int = 32
 
     def fit(self, df: pd.DataFrame) -> "Featurizer":
         self._num_mean = {}
@@ -58,21 +58,13 @@ class Featurizer:
         self._idf = {}
         n_docs = max(1, len(df))
         for c in self.text:
-            dfreq = np.zeros(self.text_dims, dtype=np.float64)
+            dfreq = np.zeros(TEXT_DIMS, dtype=np.float64)
             for doc in df[c].fillna(""):
-                seen = {_hash_token(t, self.text_dims) for t in _tokens(doc)}
+                seen = {_hash_token(t) for t in _tokens(doc)}
                 for h in seen:
                     dfreq[h] += 1.0
             self._idf[c] = np.log((1.0 + n_docs) / (1.0 + dfreq)) + 1.0
         return self
-
-    @property
-    def n_features(self) -> int:
-        return (
-            len(self.numeric)
-            + sum(len(v) for v in self._vocab.values())
-            + self.text_dims * len(self.text)
-        )
 
     def transform(self, df: pd.DataFrame) -> np.ndarray:
         n = len(df)
@@ -92,10 +84,10 @@ class Featurizer:
             blocks.append(block)
         for c in self.text:
             idf = self._idf[c]
-            block = np.zeros((n, self.text_dims), dtype=np.float64)
+            block = np.zeros((n, TEXT_DIMS), dtype=np.float64)
             for i, doc in enumerate(df[c].fillna("")):
                 for t in _tokens(doc):
-                    block[i, _hash_token(t, self.text_dims)] += 1.0
+                    block[i, _hash_token(t)] += 1.0
             block *= idf[None, :]
             norms = np.linalg.norm(block, axis=1, keepdims=True)
             np.divide(block, norms, out=block, where=norms > 0)

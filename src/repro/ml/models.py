@@ -33,9 +33,11 @@ from repro.ml.tree import (
 
 
 class _Model:
-    """Base class: subclasses implement _fit and _decision."""
+    """Base class: subclasses implement _fit and _decision. ``params``
+    are the hyper-parameters; only the random forest reads ``seed``."""
 
-    def __init__(self, **params):
+    def __init__(self, seed: int = 0, **params):
+        self.seed = seed
         self.params = params
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "_Model":
@@ -61,13 +63,12 @@ class LogisticRegression(_Model):
 
     def _fit(self, X, y):
         lam = self.params.get("C", 1.0)
-        n_iter = self.params.get("n_iter", 25)
         Xb = np.hstack([X, np.ones((X.shape[0], 1))])
         n, d = Xb.shape
         beta = np.zeros(d)
         reg = np.eye(d) / max(lam, 1e-6)
         reg[-1, -1] = 0.0  # do not penalize the intercept
-        for _ in range(n_iter):
+        for _ in range(25):
             z = np.clip(Xb @ beta, -30, 30)
             p = 1.0 / (1.0 + np.exp(-z))
             W = np.maximum(p * (1 - p), 1e-6)
@@ -129,7 +130,7 @@ class RandomForest(_Model):
 
     def _fit(self, X, y):
         n_trees = self.params.get("n_trees", 15)
-        rng = np.random.default_rng(self.params.get("seed", 0))
+        rng = np.random.default_rng(self.seed)
         self.binner_ = Binner().fit(X)
         B = self.binner_.transform(X)
         n = X.shape[0]
@@ -142,7 +143,7 @@ class RandomForest(_Model):
                     B[boot],
                     y[boot],
                     max_depth=self.params.get("max_depth", 8),
-                    min_leaf=self.params.get("min_leaf", 1),
+                    min_leaf=1,
                     max_features=mf,
                     rng=rng,
                 )
@@ -275,11 +276,7 @@ MODEL_NAMES = tuple(_REGISTRY)
 
 def make_model(name: str, params: dict | None = None, seed: int = 0) -> _Model:
     """Instantiate a model by registry name with optional hyper-params."""
-    cls = _REGISTRY[name]
-    params = dict(params or {})
-    if name == "random_forest":
-        params.setdefault("seed", seed)
-    return cls(**params)
+    return _REGISTRY[name](seed=seed, **(params or {}))
 
 
 def sample_params(name: str, rng: np.random.Generator) -> dict:

@@ -4,35 +4,27 @@ The paper tunes with random search over 5-fold cross-validation; at our
 scaled-down dataset sizes a stratified holdout split with a small number
 of candidate draws preserves the protocol's structure (validation-score
 driven selection, per-seed variation) at a fraction of the fits. The
-number of candidates and the validation fraction live in the Protocol
-preset so the paper-scale configuration remains expressible.
+number of candidates lives in the Protocol preset; the validation
+fraction is the constant ``VAL_FRAC``.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from repro.ml.metrics import metric_fn
 from repro.ml.models import make_model, sample_params
 
-
-@dataclass
-class SearchResult:
-    """Fitted best model plus its validation score and chosen params."""
-
-    model: object
-    val_score: float
-    params: dict
+VAL_FRAC = 0.25
 
 
-def _stratified_holdout(y: np.ndarray, frac: float, rng: np.random.Generator):
-    """Indices (train, val) of a stratified holdout split."""
+def _stratified_holdout(y: np.ndarray, rng: np.random.Generator):
+    """Indices (train, val) of a stratified holdout split: ``VAL_FRAC``
+    of each class with at least two rows goes to validation."""
     val_mask = np.zeros(y.size, dtype=bool)
     for cls in np.unique(y):
         idx = np.flatnonzero(y == cls)
         rng.shuffle(idx)
-        n_val = max(1, int(round(frac * idx.size))) if idx.size > 1 else 0
+        n_val = max(1, int(round(VAL_FRAC * idx.size))) if idx.size > 1 else 0
         val_mask[idx[:n_val]] = True
     return np.flatnonzero(~val_mask), np.flatnonzero(val_mask)
 
@@ -44,10 +36,11 @@ def random_search(
     *,
     seed: int,
     n_candidates: int = 2,
-    val_frac: float = 0.25,
     metric: str = "accuracy",
-) -> SearchResult:
-    """Tune ``name`` on (X, y); returns the refit best model.
+) -> tuple[object, float]:
+    """Tune ``name`` on (X, y); returns ``(model, val_score)``, the refit
+    best model (its hyper-parameters are ``model.params``) and its
+    validation score.
 
     Candidates are drawn with a seed-specific RNG, scored on a
     stratified holdout, and the winner is refit on the full training
@@ -56,7 +49,7 @@ def random_search(
     """
     rng = np.random.default_rng(seed)
     score = metric_fn(metric)
-    tr, va = _stratified_holdout(y, val_frac, rng)
+    tr, va = _stratified_holdout(y, rng)
     best_params, best_val = None, -np.inf
     for _ in range(max(1, n_candidates)):
         params = sample_params(name, rng)
@@ -68,4 +61,4 @@ def random_search(
         if val > best_val:
             best_params, best_val = params, val
     model = make_model(name, best_params, seed=seed).fit(X, y)
-    return SearchResult(model=model, val_score=float(best_val), params=best_params)
+    return model, float(best_val)

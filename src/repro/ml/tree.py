@@ -118,10 +118,10 @@ def grow_tree(M: np.ndarray, split) -> Tree:
     )
 
 
-def _check_bins(B: np.ndarray, n_bins: int) -> None:
-    # A bin >= n_bins would land in the next feature's histogram.
-    if B.size and int(B.max()) >= n_bins:
-        raise ValueError(f"bin {int(B.max())} out of range for n_bins={n_bins}")
+def _check_bins(B: np.ndarray) -> None:
+    # A bin >= N_BINS would land in the next feature's histogram.
+    if B.size and int(B.max()) >= N_BINS:
+        raise ValueError(f"bin {int(B.max())} out of range for N_BINS={N_BINS}")
 
 
 def _histograms(
@@ -237,7 +237,6 @@ def fit_tree_classifier(
     *,
     max_depth: int = 6,
     min_leaf: int = 2,
-    n_bins: int = N_BINS,
     max_features: int | None = None,
     rng: np.random.Generator | None = None,
 ) -> Tree:
@@ -247,7 +246,7 @@ def fit_tree_classifier(
     (with ``rng``) samples a feature subset per node for random forests,
     in :func:`grow_tree`'s node order.
     """
-    _check_bins(B, n_bins)
+    _check_bins(B)
     y = np.asarray(y, dtype=np.int64)
     w = np.ones(y.size, dtype=np.float64) if w is None else np.asarray(w, np.float64)
     d = B.shape[1]
@@ -263,7 +262,7 @@ def fit_tree_classifier(
         else:
             features = np.arange(d)
         parent = 2.0 * p1 * (1.0 - p1)
-        score, feat, thr = _gini_best_split(B, y, w, idx, features, n_bins, min_leaf)
+        score, feat, thr = _gini_best_split(B, y, w, idx, features, N_BINS, min_leaf)
         if feat is None or parent - score < 1e-12:
             return p1, None, None
         return p1, feat, thr
@@ -277,16 +276,16 @@ def fit_tree_newton(
     hess: np.ndarray,
     *,
     max_depth: int = 4,
-    min_leaf: int = 5,
     lam: float = 1.0,
-    n_bins: int = N_BINS,
 ) -> Tree:
     """Grow a regression tree with XGBoost-style second-order leaf values.
 
     Split gain is the standard 0.5 * (GL^2/(HL+lam) + GR^2/(HR+lam)
-    - G^2/(H+lam)); leaf weight is -G/(H+lam).
+    - G^2/(H+lam)); leaf weight is -G/(H+lam). Each child holds at least
+    5 rows.
     """
-    _check_bins(B, n_bins)
+    min_leaf = 5
+    _check_bins(B)
 
     def newton(idx: np.ndarray, depth: int):
         G = float(grad[idx].sum())
@@ -294,7 +293,7 @@ def fit_tree_newton(
         value = -G / (H + lam)
         if depth >= max_depth or idx.size < 2 * min_leaf:
             return value, None, None
-        _, feat, thr = _newton_best_split(B, grad, hess, idx, n_bins, min_leaf, lam, G, H)
+        _, feat, thr = _newton_best_split(B, grad, hess, idx, N_BINS, min_leaf, lam, G, H)
         return value, feat, thr
 
     return grow_tree(B, newton)

@@ -246,7 +246,7 @@ class TestCleaningGain:
         """On EEG split 11, IQR + impute_mean beats dirty training for
         logistic regression, both scored on the cleaned test set."""
         spec = spec_for("EEG")
-        train, test = split_frame(load_dataset("EEG"), 11, 0.3)
+        train, test = split_frame(load_dataset("EEG"), 11)
         detector = fit_outlier_detector(train, list(spec.numeric), "IQR", seed=0)
         train_mask = detector.cells(train)
         fill = inlier_stats(train, train_mask)["mean"]

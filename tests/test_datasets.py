@@ -8,15 +8,9 @@ import pytest
 from repro.cleaning.inconsistencies import fingerprint
 from repro.cleaning.mislabels import TRUE_LABEL
 from repro.cleaning.registry import ERROR_TYPES
-from repro.datasets import (
-    DATASETS,
-    dataset_names,
-    datasets_with_error,
-    load_dataset,
-    spec_for,
-)
+from repro.datasets.registry import DATASETS, datasets_with_error, load_dataset, spec_for
 
-ALL = sorted(dataset_names())
+ALL = sorted(DATASETS)
 BASE = [n for n in ALL if "_" not in n]
 VARIANTS = [n for n in ALL if "_" in n]
 
@@ -35,7 +29,7 @@ class TestEveryDataset:
     def test_declared_columns_exist(self, name):
         spec = spec_for(name)
         pdf = load_dataset(name)
-        for c in spec.feature_cols + (spec.label,):
+        for c in spec.numeric + spec.categorical + spec.text + (spec.label,):
             assert c in pdf.columns
 
     def test_numeric_columns_numeric(self, name):
@@ -63,7 +57,7 @@ class TestBaseDatasets:
     def test_missing_values_present_iff_declared(self, name):
         spec = spec_for(name)
         pdf = load_dataset(name)
-        has_na = pdf[list(spec.feature_cols)].isna().any().any()
+        has_na = pdf[list(spec.numeric + spec.categorical + spec.text)].isna().any().any()
         assert has_na == ("missing_values" in spec.error_types)
 
     def test_duplicates_present_iff_declared(self, name):
@@ -156,7 +150,7 @@ class TestLearnability:
 
         spec = spec_for(name)
         pdf = load_dataset(name)
-        train, test = split_frame(pdf, 7, 0.3)
+        train, test = split_frame(pdf, 7)
         if spec.imbalanced:
             train = downsample_majority(train, spec.label, 0)
         feat = Featurizer(

@@ -3,7 +3,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.ml.features import Featurizer, downsample_majority
+from repro.ml.features import TEXT_DIMS, Featurizer, downsample_majority
 
 
 @pytest.fixture
@@ -66,9 +66,9 @@ class TestCategorical:
 
 class TestText:
     def test_tfidf_shape(self, frame):
-        f = Featurizer(text=["t"], text_dims=16).fit(frame)
+        f = Featurizer(text=["t"]).fit(frame)
         X = f.transform(frame)
-        assert X.shape == (4, 16)
+        assert X.shape == (4, TEXT_DIMS)
 
     def test_rows_l2_normalized(self, frame):
         f = Featurizer(text=["t"]).fit(frame)
@@ -96,12 +96,9 @@ class TestText:
 
 
 class TestCombined:
-    def test_n_features_property(self, frame):
-        f = Featurizer(numeric=["x"], categorical=["c"], text=["t"], text_dims=8).fit(
-            frame
-        )
-        assert f.n_features == 1 + 3 + 8
-        assert f.transform(frame).shape[1] == f.n_features
+    def test_width_sums_column_roles(self, frame):
+        f = Featurizer(numeric=["x"], categorical=["c"], text=["t"]).fit(frame)
+        assert f.transform(frame).shape[1] == 1 + 3 + TEXT_DIMS
 
     def test_empty_roles(self, frame):
         f = Featurizer().fit(frame)

@@ -93,7 +93,7 @@ def _version_digests(split_seed: int = 100) -> dict:
     out = {}
     for error in ERROR_TYPES:
         for name in datasets_with_error(error):
-            train, test = split_frame(load_dataset(name), split_seed, FULL.test_frac)
+            train, test = split_frame(load_dataset(name), split_seed)
             seed = _unit_seed(name, split_seed, "if")
             sides = build_versions(spec_for(name), error, train, test, seed=seed)
             out[f"{error}/{name}"] = [
@@ -127,7 +127,7 @@ def _tree_digests(split_seed: int = 100) -> dict:
     out = {}
     for name in TREE_DATASETS:
         spec = spec_for(name)
-        train, test = split_frame(load_dataset(name), split_seed, FULL.test_frac)
+        train, test = split_frame(load_dataset(name), split_seed)
         if spec.imbalanced:
             train = downsample_majority(train, spec.label, _unit_seed(name, split_seed, DIRTY))
         feat = Featurizer(
@@ -145,7 +145,7 @@ def _tree_digests(split_seed: int = 100) -> dict:
             out[f"{model}/{name}"] = h.hexdigest()
     for name in datasets_with_error("outliers"):
         spec = spec_for(name)
-        train, _ = split_frame(load_dataset(name), split_seed, FULL.test_frac)
+        train, _ = split_frame(load_dataset(name), split_seed)
         seed = _unit_seed(name, split_seed, "if")
         forest = fit_outlier_detector(train, list(spec.numeric), "IF", seed=seed).forest
         h = hashlib.sha256()

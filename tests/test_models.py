@@ -4,7 +4,7 @@ import pytest
 
 from repro.ml.metrics import accuracy, f1_binary, metric_fn
 from repro.ml.models import MODEL_NAMES, make_model, sample_params
-from repro.ml.search import random_search
+from repro.ml.search import VAL_FRAC, _stratified_holdout, random_search
 
 
 @pytest.fixture(scope="module")
@@ -153,35 +153,57 @@ class TestMetrics:
 class TestRandomSearch:
     def test_returns_fitted_model(self, separable):
         X, y, Xt, yt = separable
-        r = random_search("decision_tree", X, y, seed=0)
-        assert accuracy(yt, r.model.predict(Xt)) > 0.7
-        assert 0.0 <= r.val_score <= 1.0
-        assert isinstance(r.params, dict)
+        model, val_score = random_search("decision_tree", X, y, seed=0)
+        assert accuracy(yt, model.predict(Xt)) > 0.7
+        assert 0.0 <= val_score <= 1.0
+        assert isinstance(model.params, dict)
 
     def test_deterministic_in_seed(self, separable):
         X, y, Xt, _ = separable
-        r1 = random_search("xgboost", X, y, seed=11, n_candidates=2)
-        r2 = random_search("xgboost", X, y, seed=11, n_candidates=2)
-        assert r1.params == r2.params
-        assert r1.val_score == r2.val_score
+        m1, val1 = random_search("xgboost", X, y, seed=11, n_candidates=2)
+        m2, val2 = random_search("xgboost", X, y, seed=11, n_candidates=2)
+        assert m1.params == m2.params
+        assert val1 == val2
 
     def test_different_seeds_can_differ(self, separable):
         X, y, _, _ = separable
         params = {
-            random_search("decision_tree", X, y, seed=s, n_candidates=1).params[
-                "max_depth"
-            ]
+            random_search("decision_tree", X, y, seed=s, n_candidates=1)[0].params["max_depth"]
             for s in range(6)
         }
         assert len(params) > 1
 
     def test_f1_metric_search(self, separable):
         X, y, _, _ = separable
-        r = random_search("logistic_regression", X, y, seed=0, metric="f1")
-        assert 0.0 <= r.val_score <= 1.0
+        _, val_score = random_search("logistic_regression", X, y, seed=0, metric="f1")
+        assert 0.0 <= val_score <= 1.0
 
     def test_more_candidates_no_worse_val(self, separable):
         X, y, _, _ = separable
-        r1 = random_search("decision_tree", X, y, seed=4, n_candidates=1)
-        r5 = random_search("decision_tree", X, y, seed=4, n_candidates=5)
-        assert r5.val_score >= r1.val_score - 1e-9
+        _, val1 = random_search("decision_tree", X, y, seed=4, n_candidates=1)
+        _, val5 = random_search("decision_tree", X, y, seed=4, n_candidates=5)
+        assert val5 >= val1 - 1e-9
+
+
+class TestStratifiedHoldout:
+    # Classes of 2, 7 and 40 rows, shuffled, plus one class of a single row.
+    y = np.random.default_rng(3).permutation(np.repeat([0, 1, 2, 3], [2, 7, 40, 1]))
+
+    def test_val_rows_per_class(self):
+        _, va = _stratified_holdout(self.y, np.random.default_rng(0))
+        for cls, n in ((0, 2), (1, 7), (2, 40)):
+            assert (self.y[va] == cls).sum() == max(1, round(VAL_FRAC * n))
+
+    def test_single_row_class_trains(self):
+        tr, va = _stratified_holdout(self.y, np.random.default_rng(0))
+        assert 3 not in self.y[va] and 3 in self.y[tr]
+
+    def test_disjoint_and_complete(self):
+        tr, va = _stratified_holdout(self.y, np.random.default_rng(0))
+        assert not set(tr) & set(va)
+        assert sorted([*tr, *va]) == list(range(self.y.size))
+
+    def test_deterministic_in_rng_seed(self):
+        a = _stratified_holdout(self.y, np.random.default_rng(9))
+        b = _stratified_holdout(self.y, np.random.default_rng(9))
+        assert all(np.array_equal(x, z) for x, z in zip(a, b))

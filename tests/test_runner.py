@@ -22,7 +22,7 @@ from repro.core.schema import (
     baseline_for,
     scenarios_for,
 )
-from repro.datasets import load_dataset, spec_for
+from repro.datasets.registry import load_dataset, spec_for
 
 TINY = dataclasses.replace(
     SMOKE, models=("naive_bayes",), search_seeds=(8006,), n_candidates=1
@@ -49,25 +49,25 @@ class TestImportBoundary:
 class TestSplit:
     def test_ratio(self):
         pdf = pd.DataFrame({"x": range(100)})
-        train, test = split_frame(pdf, 0, 0.3)
+        train, test = split_frame(pdf, 0)
         assert len(train) == 70 and len(test) == 30
 
     def test_disjoint_and_complete(self):
         pdf = pd.DataFrame({"x": range(50)})
-        train, test = split_frame(pdf, 1, 0.3)
+        train, test = split_frame(pdf, 1)
         assert set(train.x) | set(test.x) == set(range(50))
         assert set(train.x) & set(test.x) == set()
 
     def test_deterministic(self):
         pdf = pd.DataFrame({"x": range(40)})
-        t1, _ = split_frame(pdf, 5, 0.3)
-        t2, _ = split_frame(pdf, 5, 0.3)
+        t1, _ = split_frame(pdf, 5)
+        t2, _ = split_frame(pdf, 5)
         pd.testing.assert_frame_equal(t1, t2)
 
     def test_different_seeds_differ(self):
         pdf = pd.DataFrame({"x": range(40)})
-        t1, _ = split_frame(pdf, 1, 0.3)
-        t2, _ = split_frame(pdf, 2, 0.3)
+        t1, _ = split_frame(pdf, 1)
+        t2, _ = split_frame(pdf, 2)
         assert not t1.x.tolist() == t2.x.tolist()
 
 
@@ -85,7 +85,7 @@ class TestBuildVersions:
     def _mk(self, name, error):
         spec = spec_for(name)
         pdf = load_dataset(name)
-        train, test = split_frame(pdf, 3, 0.3)
+        train, test = split_frame(pdf, 3)
         return spec, *build_versions(spec, error, train, test, seed=0)
 
     def test_missing_values_versions(self):
@@ -95,8 +95,9 @@ class TestBuildVersions:
             "mean_dummy", "median_dummy", "mode_dummy",
         }
         assert "dirty" not in xv  # no dirty test variant for MV
-        assert not tv["delete"][list(spec.feature_cols)].isna().any().any()
-        assert not tv["mean_mode"][list(spec.feature_cols)].isna().any().any()
+        cols = list(spec.numeric + spec.categorical + spec.text)
+        assert not tv["delete"][cols].isna().any().any()
+        assert not tv["mean_mode"][cols].isna().any().any()
 
     def test_outlier_versions(self):
         spec, tv, xv = self._mk("Sensor", "outliers")
@@ -140,7 +141,7 @@ LAYOUT_DATASET = {
 
 
 def _versions(dataset, error):
-    train, test = split_frame(load_dataset(dataset), 3, 0.3)
+    train, test = split_frame(load_dataset(dataset), 3)
     return build_versions(spec_for(dataset), error, train, test, seed=0)
 
 
@@ -222,7 +223,7 @@ class TestLayout:
 
         monkeypatch.setattr(missing, "detect_missing", counted)
         monkeypatch.setattr("repro.core.runner.detect_missing", counted, raising=False)
-        train, test = split_frame(load_dataset("Titanic"), 3, 0.3)
+        train, test = split_frame(load_dataset("Titanic"), 3)
         build_versions(spec_for("Titanic"), "missing_values", train, test)
         assert calls == [len(train), len(test)]
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.cleaning import isolation_forest
 from repro.ml.tree import (
+    N_BINS,
     Binner,
     Tree,
     _gini_best_split,
@@ -146,9 +147,9 @@ class TestClassifierTree:
         assert not same_tree(t1, t2) or tree_depth(t1) == 0
 
     def test_rejects_bins_beyond_n_bins(self):
-        B = np.full((10, 2), 8, dtype=np.uint8)
+        B = np.full((10, 2), N_BINS, dtype=np.uint8)
         with pytest.raises(ValueError):
-            fit_tree_classifier(B, np.arange(10) % 2, n_bins=8)
+            fit_tree_classifier(B, np.arange(10) % 2)
 
 
 class TestNewtonTree:
